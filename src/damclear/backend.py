@@ -17,9 +17,9 @@ model infeasible the warm point is optimal to tolerance and is returned as
 such. A kept warm point carries the solver's dual bound; scipy reports
 none when the search found no incumbent, and the bound then comes from one
 solve of the same model's LP relaxation (no cutoff, no time limit).
-Branching hints carried by the model are ignored by this backend (scipy
-has no per-variable branching interface), regardless of
-honor_branching_hints.
+
+Both solves read the rows through MilpModel.constraint_matrix(); linprog
+gets them split by sense into equalities and <=-oriented rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import optimize as sciopt
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix, diags, vstack
 
 from .milp import MilpModel
 
@@ -60,7 +60,6 @@ class SolveOptions:
     lp_feasibility_tol: float = 1e-9
     integer_feasibility_tol: float = 1e-6
     thread_count: Optional[int] = None
-    honor_branching_hints: bool = True
     warm_start: Optional[object] = None
     node_limit: Optional[int] = None
     random_seed: Optional[int] = None
@@ -109,38 +108,19 @@ class SolveOutcome:
 def _split_rows(model: MilpModel):
     """Constraint matrix split for linprog: equalities and <=-oriented rows.
 
-    Returns (A_eq, b_eq, eq_rows, A_ub, b_ub, ub_rows, ub_sign) where
-    ub_sign records the -1 applied to '>' rows.
+    Returns (A_eq, b_eq, eq_rows, A_ub, b_ub, ub_rows, ub_sign) where the
+    row index arrays keep stored order and ub_sign records the -1 applied
+    to '>' rows.
     """
-    n = model.n_cols
-    eq_rows, ub_rows, ub_sign = [], [], []
-    eq_mats, ub_mats = [], []
-    b_eq, b_ub = [], []
-    for r in range(model.n_rows):
-        cols, coefs = model.row_cols[r], model.row_coefs[r]
-        row = csr_matrix(
-            (coefs, (np.zeros(len(cols), dtype=int), cols)), shape=(1, n)
-        )
-        sense = model.row_sense[r]
-        if sense == "=":
-            eq_rows.append(r)
-            eq_mats.append(row)
-            b_eq.append(model.row_rhs[r])
-        elif sense == "<":
-            ub_rows.append(r)
-            ub_sign.append(1.0)
-            ub_mats.append(row)
-            b_ub.append(model.row_rhs[r])
-        else:
-            ub_rows.append(r)
-            ub_sign.append(-1.0)
-            ub_mats.append(-row)
-            b_ub.append(-model.row_rhs[r])
-    A_eq = vstack(eq_mats, format="csr") if eq_mats else None
-    A_ub = vstack(ub_mats, format="csr") if ub_mats else None
+    sense = np.asarray(model.row_sense)
+    sign = np.where(sense == ">", -1.0, 1.0)
+    A = diags(sign) @ model.constraint_matrix()
+    b = sign * np.asarray(model.row_rhs, dtype=float)
+    eq_rows = np.flatnonzero(sense == "=")
+    ub_rows = np.flatnonzero(sense != "=")
     return (
-        A_eq, np.array(b_eq), eq_rows,
-        A_ub, np.array(b_ub), ub_rows, np.array(ub_sign),
+        A[eq_rows] if eq_rows.size else None, b[eq_rows], eq_rows,
+        A[ub_rows] if ub_rows.size else None, b[ub_rows], ub_rows, sign[ub_rows],
     )
 
 
@@ -213,9 +193,9 @@ class ScipyHighsBackend:
         # orient scipy's minimize-convention marginals to the model's sense
         mult = -1.0 if model.objective_sense == "max" else 1.0
         rows = np.zeros(model.n_rows)
-        if eq_rows:
+        if eq_rows.size:
             rows[eq_rows] = mult * res.eqlin.marginals
-        if ub_rows:
+        if ub_rows.size:
             rows[ub_rows] = mult * res.ineqlin.marginals * ub_sign
         obj = float(model.objective @ res.x)
         return SolveOutcome(

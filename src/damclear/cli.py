@@ -21,12 +21,14 @@ from .engine import (
     ClearingError,
     ClearingRequest,
     clear,
-    heuristic_mic_block,
-    heuristic_min_oc,
-    heuristic_volume,
+    staged_clear,
 )
 from .oracle import OracleGuardError, enumerate_selections
-from .verify import verify_equilibrium, verify_mic_income
+
+# verify_mic_income is not called here (verify_equilibrium computes the
+# mic-income family), but the benchmark tracer in perfbench/tracing.py
+# patches cli.verify_mic_income by name, so the attribute must exist
+from .verify import verify_equilibrium, verify_mic_income  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,11 +39,6 @@ _OBJ_FROM_FLAG = {
     "welfare": "welfare",
     "volume": "volume",
     "min-oc": "min_opportunity_cost",
-}
-_HEURISTIC = {
-    "welfare": heuristic_mic_block,
-    "volume": heuristic_volume,
-    "min_opportunity_cost": heuristic_min_oc,
 }
 
 
@@ -93,14 +90,8 @@ def _request(args) -> ClearingRequest:
 
 def _solve(instance, request, heuristic: str):
     if heuristic == "staged":
-        return _HEURISTIC[request.objective](instance, request)
+        return staged_clear(instance, request)
     return clear(instance, request)
-
-
-def _full_report(instance, solution, rules):
-    report = verify_equilibrium(instance, solution, rules=rules)
-    report.families["mic-income"] = verify_mic_income(instance, solution)
-    return report
 
 
 def _objective_value(solution, objective):
@@ -150,7 +141,7 @@ def _cmd_clear(args) -> int:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     wall = time.perf_counter() - t0
-    report = _full_report(instance, solution, request.rules)
+    report = verify_equilibrium(instance, solution, rules=request.rules)
     prefix = _artifact_prefix(args)
     fileio.write_solution(instance, solution, prefix + ".solution.json")
     fileio.write_report(report, prefix + ".report.json")
@@ -168,7 +159,7 @@ def _cmd_verify(args) -> int:
     instance = fileio.parse(args.instance)
     solution = fileio.read_solution(args.solution, instance)
     t0 = time.perf_counter()
-    report = _full_report(instance, solution, args.rules)
+    report = verify_equilibrium(instance, solution, rules=args.rules)
     wall = time.perf_counter() - t0
     if args.out:
         fileio.write_report(report, args.out)
@@ -234,7 +225,7 @@ def _cmd_compare(args) -> int:
         except ClearingError as exc:
             print(f"solver failed on {flag}: {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        report = _full_report(instance, solution, request.rules)
+        report = verify_equilibrium(instance, solution, rules=request.rules)
         if solution.solver_status != "optimal":
             worst = max(worst, EXIT_SOLVER)
         elif not report.overall_pass:

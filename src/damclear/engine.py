@@ -3,9 +3,10 @@
 clear() is the single-shot path: build the primal-dual model for the
 requested rules and objective, solve the MILP, then re-solve the LP with
 the winning selection fixed to obtain clean prices and surpluses (duals
-are never trusted from the integer search). The heuristic_* pipelines are
-staged variants for hard instances; each stage warm-starts the next and a
-stage can only improve on its predecessor.
+are never trusted from the integer search). staged_clear() is the staged
+variant for hard instances: two objective-specific stages on the request's
+model, then one warm-started solve of the full model; each stage can only
+improve on its predecessor.
 
 Solutions come back canonicalized: coordinates the equilibrium leaves free
 (an accepted block's split between surplus and compensation, a rejected
@@ -37,8 +38,8 @@ class ClearingRequest:
 
     rules='pcr' forbids paradoxically accepted blocks (no losses, no
     compensations); rules='umfs' allows them, compensated through d_accept.
-    stage_time_budgets apply to the staged heuristics only, one entry per
-    stage, in seconds.
+    stage_time_budgets apply to staged_clear only, one entry per stage, in
+    seconds.
     """
 
     objective: str = "welfare"
@@ -56,19 +57,18 @@ class ClearingRequest:
 
 
 def build_request_model(instance: Instance, request: ClearingRequest) -> milp.MilpModel:
-    """The MILP for a request.
+    """The MILP for a request, assembled once in its target form.
 
     The opportunity-cost objective needs the d_reject columns, so it stays
     on the unrestricted form; pcr rules are then imposed by pinning the
     d_accept columns to zero instead of eliminating them.
     """
-    model = milp.build_umfs(instance)
-    milp.add_mic_constraints(model)
     if request.objective == "min_opportunity_cost":
+        model = milp.build_model(instance, "umfs")
         if request.rules == "pcr":
             milp.forbid_paradoxical_acceptance(model)
-    elif request.rules == "pcr":
-        model = milp.restrict_to_pcr(model)
+    else:
+        model = milp.build_model(instance, request.rules)
     milp.set_objective(model, request.objective)
     return model
 
@@ -168,9 +168,9 @@ def _finalize(
 ) -> ClearingSolution:
     if not outcome.has_solution:
         raise ClearingError(f"no feasible solution within budget (solver: {outcome.status})")
-    y = np.round(outcome.columns[model.roles["y"]])
-    u = np.round(outcome.columns[model.roles["u"]])
-    resolved = be.resolve_duals(model, y, u, _lp_options(request), backend=backend)
+    resolved = be.resolve_duals(
+        model, **_selection(model, outcome), options=_lp_options(request), backend=backend
+    )
     if resolved.status != "optimal":
         raise ClearingError(
             f"dual resolve failed for the incumbent selection: {resolved.status}"
@@ -189,137 +189,76 @@ def clear(instance: Instance, request: ClearingRequest = ClearingRequest(), back
     return _finalize(instance, model, outcome, request, backend)
 
 
-def heuristic_mic_block(
+def _pinned(model: milp.MilpModel, **values) -> milp.MilpModel:
+    """A copy of the model with each named column group fixed to its values."""
+    out = model.copy()
+    for role, value in values.items():
+        out.lb[out.roles[role]] = value
+        out.ub[out.roles[role]] = value
+    return out
+
+
+def _selection(model: milp.MilpModel, outcome: be.SolveOutcome) -> dict:
+    return {role: np.round(outcome.columns[model.roles[role]]) for role in ("y", "u")}
+
+
+def _mic_then_blocks(model, request, backend):
+    """Stages 1 and 2 for welfare: MIC bids with every block rejected, then
+    the blocks under that frozen MIC selection, warm-started."""
+    b1, b2, _ = request.stage_time_budgets
+    out1 = be.solve_mip(_pinned(model, y=0.0), _mip_options(request, b1), backend=backend)
+    if not out1.has_solution:
+        raise ClearingError(f"stage 1 found nothing within budget ({out1.status})")
+    m2 = _pinned(model, u=_selection(model, out1)["u"])
+    m2.warm_start = out1.columns.copy()
+    out2 = be.solve_mip(m2, _mip_options(request, b2), backend=backend)
+    return out1, (out2 if out2.has_solution else out1)
+
+
+def _welfare_then_target(model, request, backend):
+    """Stages 1 and 2 for volume and min-oc: maximize welfare on a copy of
+    the model, then re-optimize the request's objective over that selection."""
+    b1, b2, _ = request.stage_time_budgets
+    welfare = model.copy()
+    milp.set_objective(welfare, "welfare")
+    out1 = be.solve_mip(welfare, _mip_options(request, b1), backend=backend)
+    if not out1.has_solution:
+        raise ClearingError(f"welfare stage found nothing within budget ({out1.status})")
+    fixed = _pinned(model, **_selection(model, out1))
+    out2 = be.solve_lp(fixed, replace(_lp_options(request), time_limit=b2 or None), backend=backend)
+    if out2.status != "optimal":
+        raise ClearingError(f"{request.objective} stage-b LP failed: {out2.status}")
+    return out1, out2
+
+
+def staged_clear(
     instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None,
     trace: Optional[dict] = None,
 ) -> ClearingSolution:
-    """Three-stage search: MIC selection first, then blocks, then the full model.
+    """Three-stage search for hard instances, on the request's one model.
 
-    Stage 1 fixes every block to rejected and settles the MIC binaries,
-    stage 2 freezes that MIC selection and frees the blocks, stage 3 warm-
-    starts the unrestricted model with the stage-2 incumbent. Rationale:
-    MIC bids dominate hardness, so eliminating them early prunes the tree.
-    A trace dict, when given, receives the per-stage objective values.
+    welfare: stage 1 fixes every block to rejected and settles the MIC
+    binaries, stage 2 freezes that MIC selection and frees the blocks
+    (MIC bids dominate hardness, so settling them early prunes the tree).
+    volume and min_opportunity_cost: stage 1 maximizes welfare, stage 2
+    re-optimizes the request's objective as an LP over the welfare
+    selection. Stage 3 always warm-starts the full model with the stage-2
+    point and falls back to it when it finds nothing. A trace dict, when
+    given, receives the per-stage objective values (stage 1 of volume and
+    min_opportunity_cost is in welfare units).
     """
     validate_instance(instance)
-    b1, b2, b3 = request.stage_time_budgets
     model = build_request_model(instance, request)
-
-    m1 = model.copy()
-    ys = m1.roles["y"]
-    m1.lb[ys] = 0.0
-    m1.ub[ys] = 0.0
-    out1 = be.solve_mip(m1, _mip_options(request, b1), backend=backend)
-    if not out1.has_solution:
-        raise ClearingError(f"stage 1 found nothing within budget ({out1.status})")
-
-    m2 = model.copy()
-    us = m2.roles["u"]
-    u1 = np.round(out1.columns[us])
-    m2.lb[us] = u1
-    m2.ub[us] = u1
-    m2.warm_start = out1.columns.copy()
-    out2 = be.solve_mip(m2, _mip_options(request, b2), backend=backend)
-    if not out2.has_solution:
-        out2 = out1
-
+    stages = _mic_then_blocks if request.objective == "welfare" else _welfare_then_target
+    out1, out2 = stages(model, request, backend)
     m3 = model.copy()
     m3.warm_start = out2.columns.copy()
-    out3 = be.solve_mip(m3, _mip_options(request, b3), backend=backend)
+    out3 = be.solve_mip(m3, _mip_options(request, request.stage_time_budgets[2]), backend=backend)
     if not out3.has_solution:
         out3 = out2
     if trace is not None:
         trace["stage_objectives"] = [out1.objective, out2.objective, out3.objective]
     return _finalize(instance, model, out3, request, backend)
-
-
-def heuristic_volume(
-    instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None,
-    trace: Optional[dict] = None,
-) -> ClearingSolution:
-    """Welfare first, then volume: the welfare optimum seeds the volume search.
-
-    Stage a maximizes welfare, stage b re-optimizes volume over the fixed
-    welfare-optimal selection (resolving volume indeterminacy at that
-    selection), stage c warm-starts the full volume MILP from that point.
-    A trace dict, when given, receives the per-stage objective values
-    (stage a in welfare units, stages b and c in volume units).
-    """
-    validate_instance(instance)
-    b1, b2, b3 = request.stage_time_budgets
-    vol_request = replace(request, objective="volume")
-    wel_request = replace(request, objective="welfare")
-    vol_model = build_request_model(instance, vol_request)
-    wel_model = build_request_model(instance, wel_request)
-
-    out_a = be.solve_mip(wel_model, _mip_options(wel_request, b1), backend=backend)
-    if not out_a.has_solution:
-        raise ClearingError(f"welfare stage found nothing within budget ({out_a.status})")
-    y_a = np.round(out_a.columns[wel_model.roles["y"]])
-    u_a = np.round(out_a.columns[wel_model.roles["u"]])
-
-    fixed = vol_model.copy()
-    fixed.lb[fixed.roles["y"]] = y_a
-    fixed.ub[fixed.roles["y"]] = y_a
-    fixed.lb[fixed.roles["u"]] = u_a
-    fixed.ub[fixed.roles["u"]] = u_a
-    out_b = be.solve_lp(fixed, replace(_lp_options(vol_request), time_limit=b2 or None), backend=backend)
-    if out_b.status != "optimal":
-        raise ClearingError(f"volume stage-b LP failed: {out_b.status}")
-
-    m3 = vol_model.copy()
-    m3.warm_start = out_b.columns.copy()
-    out_c = be.solve_mip(m3, _mip_options(vol_request, b3), backend=backend)
-    if not out_c.has_solution:
-        out_c = out_b
-    if trace is not None:
-        trace["stage_objectives"] = [out_a.objective, out_b.objective, out_c.objective]
-    return _finalize(instance, vol_model, out_c, vol_request, backend)
-
-
-def heuristic_min_oc(
-    instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None,
-    trace: Optional[dict] = None,
-) -> ClearingSolution:
-    """Welfare first, then minimal compensation for rejected blocks.
-
-    All stages run on the opportunity-cost form (d columns retained) so
-    incumbents transfer directly: stage a maximizes welfare, stage b
-    minimizes the rejected-block slack sum over the welfare selection
-    (prices re-optimized), stage c warm-starts the full minimization.
-    A trace dict, when given, receives the per-stage objective values
-    (stage a in welfare units, stages b and c in compensation units).
-    """
-    validate_instance(instance)
-    b1, b2, b3 = request.stage_time_budgets
-    oc_request = replace(request, objective="min_opportunity_cost")
-    oc_model = build_request_model(instance, oc_request)
-
-    wel_model = oc_model.copy()
-    milp.set_objective(wel_model, "welfare")
-    out_a = be.solve_mip(wel_model, _mip_options(oc_request, b1), backend=backend)
-    if not out_a.has_solution:
-        raise ClearingError(f"welfare stage found nothing within budget ({out_a.status})")
-    y_a = np.round(out_a.columns[wel_model.roles["y"]])
-    u_a = np.round(out_a.columns[wel_model.roles["u"]])
-
-    fixed = oc_model.copy()
-    fixed.lb[fixed.roles["y"]] = y_a
-    fixed.ub[fixed.roles["y"]] = y_a
-    fixed.lb[fixed.roles["u"]] = u_a
-    fixed.ub[fixed.roles["u"]] = u_a
-    out_b = be.solve_lp(fixed, replace(_lp_options(oc_request), time_limit=b2 or None), backend=backend)
-    if out_b.status != "optimal":
-        raise ClearingError(f"opportunity-cost stage-b LP failed: {out_b.status}")
-
-    m3 = oc_model.copy()
-    m3.warm_start = out_b.columns.copy()
-    out_c = be.solve_mip(m3, _mip_options(oc_request, b3), backend=backend)
-    if not out_c.has_solution:
-        out_c = out_b
-    if trace is not None:
-        trace["stage_objectives"] = [out_a.objective, out_b.objective, out_c.objective]
-    return _finalize(instance, oc_model, out_c, oc_request, backend)
 
 
 def compare_pab_models(

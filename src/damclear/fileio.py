@@ -38,6 +38,8 @@ class FileFormatError(ValueError):
 
 
 def _need(obj: dict, key: str, kinds, ctx: str):
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{ctx}: expected an object")
     if key not in obj:
         raise FileFormatError(f"{ctx}: missing field '{key}'")
     val = obj[key]
@@ -103,6 +105,8 @@ def atc_network(
 def _parse_network(data: dict) -> Network:
     locations = tuple(_need(data, "locations", list, "network"))
     periods = tuple(_need(data, "periods", list, "network"))
+    if not all(isinstance(label, str) for label in locations + periods):
+        raise FileFormatError("network: location and period labels must be strings")
     if not locations or len(set(locations)) != len(locations):
         raise FileFormatError("network: locations must be nonempty and unique")
     if not periods or len(set(periods)) != len(periods):
@@ -116,14 +120,12 @@ def _parse_network(data: dict) -> Network:
         lines = []
         for li, raw in enumerate(_need(atc, "lines", list, "network.atc")):
             ctx = f"atc line {li}"
+            capacity = _need(raw, "capacity", dict, ctx)
             lines.append(
                 AtcLine(
                     from_location=_need(raw, "from", str, ctx),
                     to_location=_need(raw, "to", str, ctx),
-                    capacities={
-                        k: float(v)
-                        for k, v in _need(raw, "capacity", dict, ctx).items()
-                    },
+                    capacities={k: _number(capacity, k, ctx) for k in capacity},
                 )
             )
         return atc_network(locations, periods, lines)
@@ -198,7 +200,7 @@ def parse_instance(text: str) -> Instance:
             BlockBid(
                 id=bid_id,
                 location=_need(raw, "location", str, ctx),
-                powers={k: float(v) for k, v in powers.items()},
+                powers={k: _number(powers, k, ctx) for k in powers},
                 limit_price=_number(raw, "limit_price", ctx),
             )
         )

@@ -8,7 +8,8 @@ A single objective-equality row ties the primal objective to the dual one;
 weak duality then pins both to the fixed-selection optimum at every feasible
 point, which is what makes any feasible point an equilibrium.
 
-Two forms are supported:
+The linearized minimum-income rows, one per MIC bid, are part of every
+model. build_model assembles one of two forms:
 
 * ``umfs``: dispatchers bound the d variables through big-M rows switched
   by the acceptance binaries; paradoxical acceptance is representable.
@@ -16,15 +17,11 @@ Two forms are supported:
   the dual rows (big-M deactivation of rejected bids' dual rows), which
   forbids paradoxical acceptance outright. Binary count is exactly
   #blocks + #MIC bids in both forms.
-
-Branching hints attached to binary columns are advisory metadata: the
-bundled scipy backend has no per-variable branching interface and ignores
-them (they are preserved through copies for backends that can use them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -120,7 +117,6 @@ class MilpModel:
 
     instance: Instance
     form: str
-    big_m: BigMSet
     var_names: list[str]
     lb: np.ndarray
     ub: np.ndarray
@@ -132,11 +128,8 @@ class MilpModel:
     row_rhs: list[float]
     row_names: list[str]
     row_roles: dict[str, list[int]]
-    mic_added: bool = False
     objective: Optional[np.ndarray] = None
     objective_sense: str = "max"
-    objective_kind: Optional[str] = None
-    branch_hints: dict[int, str] = field(default_factory=dict)
     warm_start: Optional[np.ndarray] = None
 
     @property
@@ -155,7 +148,6 @@ class MilpModel:
         return MilpModel(
             instance=self.instance,
             form=self.form,
-            big_m=self.big_m,
             var_names=list(self.var_names),
             lb=self.lb.copy(),
             ub=self.ub.copy(),
@@ -167,11 +159,8 @@ class MilpModel:
             row_rhs=list(self.row_rhs),
             row_names=list(self.row_names),
             row_roles={k: list(v) for k, v in self.row_roles.items()},
-            mic_added=self.mic_added,
             objective=None if self.objective is None else self.objective.copy(),
             objective_sense=self.objective_sense,
-            objective_kind=self.objective_kind,
-            branch_hints=dict(self.branch_hints),
             warm_start=None if self.warm_start is None else self.warm_start.copy(),
         )
 
@@ -218,17 +207,10 @@ class MilpModel:
         violations and their maximum. Integrality is not checked.
         """
         point = np.asarray(point, dtype=float)
-        rows = np.zeros(self.n_rows)
-        for r, (cols, coefs) in enumerate(zip(self.row_cols, self.row_coefs)):
-            act = float(coefs @ point[cols])
-            rhs = self.row_rhs[r]
-            sense = self.row_sense[r]
-            if sense == "<":
-                rows[r] = act - rhs
-            elif sense == ">":
-                rows[r] = rhs - act
-            else:
-                rows[r] = abs(act - rhs)
+        act = self.constraint_matrix() @ point
+        rhs = np.asarray(self.row_rhs, dtype=float)
+        sense = np.asarray(self.row_sense)
+        rows = np.where(sense == "<", act - rhs, np.where(sense == ">", rhs - act, np.abs(act - rhs)))
         rows = np.clip(rows, 0.0, None)
         lbv = np.clip(self.lb - point, 0.0, None)
         ubv = np.clip(point - self.ub, 0.0, None)
@@ -239,80 +221,26 @@ class MilpModel:
         )
         return {"rows": rows, "lb": lbv, "ub": ubv, "max": float(mx)}
 
-    def fix_column(self, col: int, value: float) -> None:
-        self.lb[col] = value
-        self.ub[col] = value
-
 
 def _san(name: str) -> str:
     return "".join(ch if (ch.isalnum() or ch == "_") else "_" for ch in name)
 
 
-def build_umfs(instance: Instance, big_m: Optional[BigMSet] = None) -> MilpModel:
-    """Assemble the unrestricted primal-dual model (paradoxical acceptance allowed).
+def build_model(instance: Instance, form: str) -> MilpModel:
+    """Assemble the primal-dual model in the given form ("umfs" or "pcr").
 
     Columns, in order: hourly fractions x, MIC suborder fractions x_mic,
     block binaries y, MIC binaries u, net positions n, prices pi, network
-    duals v, surpluses s_hourly / s_mic_sub / s_block / s_mic, then the
-    block compensations d_accept and the rejection slacks d_reject /
-    du_reject. The paradoxical-rejection compensations du^a are fixed to
-    zero by omission (they can be zeroed without loss of generality).
-    No objective is set; MIC income rows are added separately.
+    duals v, surpluses s_hourly / s_mic_sub / s_block / s_mic, then, in the
+    umfs form only, the block compensations d_accept and the rejection
+    slacks d_reject / du_reject. The paradoxical-rejection compensations
+    du^a are fixed to zero by omission (they can be zeroed without loss of
+    generality). The minimum-income rows come last. No objective is set.
     """
+    if form not in ("umfs", "pcr"):
+        raise ValueError(f"unknown form {form!r}")
     validate_instance(instance)
-    if big_m is None:
-        big_m = big_m_set(instance)
-    return _assemble(instance, big_m, form="umfs")
-
-
-def restrict_to_pcr(model: MilpModel) -> MilpModel:
-    """Rebuild the model in the restricted form that forbids paradoxical acceptance.
-
-    The d columns are eliminated; rejected bids' dual rows deactivate via
-    big-M terms on their own binaries instead. Idempotent. MIC income rows
-    and the objective are carried over.
-    """
-    if model.form == "pcr":
-        return model
-    out = _assemble(model.instance, model.big_m, form="pcr")
-    if model.mic_added:
-        add_mic_constraints(out)
-    if model.objective_kind is not None:
-        set_objective(out, model.objective_kind)
-    out.branch_hints = {
-        c: d for c, d in model.branch_hints.items() if c < out.n_cols
-    }
-    return out
-
-
-def add_mic_constraints(model: MilpModel) -> MilpModel:
-    """Append the linearized minimum-income rows, one per MIC bid.
-
-    At any feasible point of the primal-dual system the income collected by
-    an active MIC bid equals its limit-price-weighted traded value minus its
-    surplus s_c, so the nonlinear revenue condition
-        income >= fixed_cost + variable_cost * sold volume
-    becomes the linear row
-        s_c + sum_h P_hc (V_c - limit_hc) x_hc - F_c u_c >= 0,
-    deactivated by the bid's own fixed cost when u_c = 0. Adds no columns.
-    Idempotent.
-    """
-    if model.mic_added:
-        return model
-    idx = InstanceIndex(model.instance)
-    s_mic = model.roles["s_mic"].start
-    x_mic = model.roles["x_mic"].start
-    u0 = model.roles["u"].start
-    for c in range(idx.n_mic):
-        sl = idx.mic_slices[c]
-        cols = [s_mic + c, u0 + c]
-        coefs = [1.0, -idx.mic_fixed[c]]
-        for h in range(sl.start, sl.stop):
-            cols.append(x_mic + h)
-            coefs.append(idx.sub_power[h] * (idx.mic_variable[c] - idx.sub_limit[h]))
-        model.add_row(cols, coefs, ">", 0.0, f"mic_income_{_san(model.instance.mic_bids[c].id)}", "mic_income")
-    model.mic_added = True
-    return model
+    return _assemble(instance, form)
 
 
 def forbid_paradoxical_acceptance(model: MilpModel) -> MilpModel:
@@ -355,17 +283,17 @@ def set_objective(model: MilpModel, objective: str) -> MilpModel:
         if "d_reject" not in model.roles:
             raise ModelFormError(
                 "min_opportunity_cost needs the d_reject columns; "
-                "they were eliminated by the pcr restriction"
+                "the pcr form eliminates them"
             )
         c[model.roles["d_reject"]] = 1.0
         model.objective_sense = "min"
     model.objective = c
-    model.objective_kind = objective
     return model
 
 
-def _assemble(instance: Instance, big_m: BigMSet, form: str) -> MilpModel:
+def _assemble(instance: Instance, form: str) -> MilpModel:
     idx = InstanceIndex(instance)
+    big_m = big_m_set(instance)
     net = instance.network
     cap = instance.price_cap
     nI, nS, nJ, nC = idx.n_hourly, idx.n_sub, idx.n_block, idx.n_mic
@@ -412,7 +340,6 @@ def _assemble(instance: Instance, big_m: BigMSet, form: str) -> MilpModel:
     model = MilpModel(
         instance=instance,
         form=form,
-        big_m=big_m,
         var_names=names,
         lb=np.array(lb),
         ub=np.array(ub),
@@ -583,8 +510,19 @@ def _assemble(instance: Instance, big_m: BigMSet, form: str) -> MilpModel:
             coefs.append(1.0)
     model.add_row(cols, coefs, ">", 0.0, "objective_equality", "objective_equality")
 
-    # prefer rejecting MIC bids first when a backend can steer branching
-    model.branch_hints = {cu + c: "down" for c in range(nC)}
+    # minimum income: at any feasible point the income an active MIC bid
+    # collects equals its limit-weighted traded value minus its surplus
+    # s_c, so income >= fixed_cost + variable_cost * sold volume becomes
+    #     s_c + sum_h P_hc (V_c - limit_hc) x_hc - F_c u_c >= 0,
+    # deactivated by the bid's own fixed cost when u_c = 0
+    for c in range(nC):
+        sl = idx.mic_slices[c]
+        cols = [csc + c, cu + c] + [cxm + h for h in range(sl.start, sl.stop)]
+        coefs = [1.0, -idx.mic_fixed[c]] + [
+            idx.sub_power[h] * (idx.mic_variable[c] - idx.sub_limit[h])
+            for h in range(sl.start, sl.stop)
+        ]
+        model.add_row(cols, coefs, ">", 0.0, f"mic_income_{cid[c]}", "mic_income")
 
     return model
 

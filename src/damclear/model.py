@@ -297,14 +297,6 @@ class InstanceIndex:
             vol += float(np.clip(self.block_powers, 0.0, None).sum(axis=1) @ y)
         return vol
 
-    def abs_volume(self, x: np.ndarray, x_mic: np.ndarray, y: np.ndarray) -> float:
-        vol = float(np.abs(self.hourly_power) @ x)
-        if self.n_sub:
-            vol += float(np.abs(self.sub_power) @ x_mic)
-        if self.n_block:
-            vol += float(np.abs(self.block_powers).sum(axis=1) @ y)
-        return vol
-
     def block_surplus(self, prices: np.ndarray) -> np.ndarray:
         """Per-block surplus if accepted: sum_t P_jt (limit_j - pi_lt)."""
         pi = self.prices_flat(prices).reshape(self.L, self.T)
@@ -435,12 +427,6 @@ def welfare(instance: Instance, solution: ClearingSolution) -> float:
 def traded_volume(instance: Instance, solution: ClearingSolution) -> float:
     """Buy-side matched volume in MWh."""
     return InstanceIndex(instance).buy_volume(solution.x, solution.x_mic, solution.y)
-
-
-def traded_volume_half_abs(instance: Instance, solution: ClearingSolution) -> float:
-    """Half the absolute traded power. Equals traded_volume whenever every
-    network basis coordinate has zero net export over all (location, period)."""
-    return 0.5 * InstanceIndex(instance).abs_volume(solution.x, solution.x_mic, solution.y)
 
 
 def block_surplus_terms(

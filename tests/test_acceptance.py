@@ -21,10 +21,10 @@ from damclear.engine import (
     ClearingRequest,
     clear,
     compare_pab_models,
-    heuristic_mic_block,
+    staged_clear,
 )
 from damclear.fileio import GeneratorConfig, generate
-from damclear.milp import add_mic_constraints, build_umfs, restrict_to_pcr
+from damclear.milp import build_model
 from damclear.oracle import enumerate_selections
 from damclear.verify import (
     opportunity_cost_summary,
@@ -161,9 +161,9 @@ def test_criterion_5_binary_budget(suite):
     instances["toy"] = make_toy()
     for tag, instance in instances.items():
         expected = len(instance.block_bids) + len(instance.mic_bids)
-        model = add_mic_constraints(build_umfs(instance))
+        model = build_model(instance, "umfs")
         assert int(model.integrality.sum()) == expected, tag
-        pcr = restrict_to_pcr(model.copy())
+        pcr = build_model(instance, "pcr")
         assert int(pcr.integrality.sum()) == expected, tag
 
 
@@ -209,7 +209,7 @@ def test_criterion_7_scale_smoke():
     )
     trace = {}
     t0 = time.perf_counter()
-    solution = heuristic_mic_block(instance, request, trace=trace)
+    solution = staged_clear(instance, request, trace=trace)
     wall = time.perf_counter() - t0
     assert wall < 600.0
     assert solution.solver_gap <= 0.002

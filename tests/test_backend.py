@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_matrix, vstack
+
 from damclear import backend as bk
 from damclear import milp
+from damclear.engine import ClearingRequest, build_request_model
 from damclear.fileio import GeneratorConfig, generate
 
-from conftest import make_toy
+from conftest import make_mic, make_pab_chain, make_toy
 
 
 def _tiny(rows=(), senses=(), rhs=(), lb=-np.inf, ub=np.inf, objective=1.0):
     """Single-column model for exercising raw status mapping."""
     return milp.MilpModel(
-        instance=None, form="umfs", big_m=None,
+        instance=None, form="umfs",
         var_names=["z"], lb=np.array([float(lb)]), ub=np.array([float(ub)]),
         integrality=np.zeros(1),
         roles={"y": slice(0, 0), "u": slice(0, 0)},
@@ -36,7 +39,7 @@ def test_options_validation():
 
 
 def test_missing_objective_raises():
-    m = milp.build_umfs(make_toy())
+    m = milp.build_model(make_toy(), "umfs")
     with pytest.raises(bk.BackendError):
         bk.solve_lp(m)
 
@@ -55,7 +58,7 @@ def test_status_mapping():
 
 
 def test_toy_mip_and_resolve():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     out = bk.solve_mip(m, bk.SolveOptions())
     assert out.status == "optimal"
     assert out.objective == pytest.approx(450.0, abs=1e-6)
@@ -66,7 +69,7 @@ def test_toy_mip_and_resolve():
 
 
 def test_resolve_rounds_near_integer_selection():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     rd = bk.resolve_duals(m, np.array([0.9999997, 3e-7]), np.zeros(0))
     assert rd.status == "optimal"
     assert rd.objective == pytest.approx(450.0, abs=1e-6)
@@ -74,13 +77,13 @@ def test_resolve_rounds_near_integer_selection():
 
 def test_resolve_invalid_selection_is_infeasible():
     # {C, D} sells 30 MW against 25 MW of demand
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     rd = bk.resolve_duals(m, np.array([1.0, 1.0]), np.zeros(0))
     assert rd.status == "infeasible"
 
 
 def test_resolve_rejects_wrong_shape():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     with pytest.raises(bk.BackendError):
         bk.resolve_duals(m, np.array([1.0]), np.zeros(0))
 
@@ -90,7 +93,7 @@ def test_strong_duality_on_random_convex_lps():
     # the oriented marginals must close the duality gap against rhs + bounds
     for seed in range(8):
         inst = generate(GeneratorConfig(seed=seed, n_blocks=0, n_mic=0))
-        m = milp.set_objective(milp.build_umfs(inst), "welfare")
+        m = milp.set_objective(milp.build_model(inst, "umfs"), "welfare")
         assert m.n_binary == 0
         out = bk.solve_lp(m, bk.SolveOptions())
         assert out.status == "optimal"
@@ -117,7 +120,7 @@ def _assert_kept_point_bounded(out):
 
 
 def test_warm_start_vector_kept_when_solver_has_nothing():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     base = bk.solve_mip(m, bk.SolveOptions())
     out = bk.solve_mip(m, bk.SolveOptions(time_limit=0.0, warm_start=base.columns))
     assert out.status == "feasible_gap"
@@ -128,7 +131,7 @@ def test_warm_start_vector_kept_when_solver_has_nothing():
 
 
 def test_warm_start_dict_form():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     base = bk.solve_mip(m, bk.SolveOptions())
     ws = dict(zip(m.var_names, base.columns))
     out = bk.solve_mip(m, bk.SolveOptions(warm_start=ws))
@@ -137,7 +140,7 @@ def test_warm_start_dict_form():
 
 
 def test_invalid_warm_start_rejected_but_solve_proceeds():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     out = bk.solve_mip(m, bk.SolveOptions(warm_start=np.full(m.n_cols, 1e6)))
     assert out.status == "optimal"
     assert out.objective == pytest.approx(450.0, abs=1e-6)
@@ -149,7 +152,7 @@ def test_invalid_warm_start_rejected_but_solve_proceeds():
 
 
 def test_model_warm_start_slot_is_used():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     base = bk.solve_mip(m, bk.SolveOptions())
     m2 = m.copy()
     m2.warm_start = base.columns
@@ -176,7 +179,58 @@ def test_registry_and_env_selection(monkeypatch):
 
 
 def test_seed_and_threads_are_accepted():
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     out = bk.solve_mip(m, bk.SolveOptions(random_seed=7, thread_count=1, node_limit=10_000))
     assert out.status == "optimal"
     assert out.objective == pytest.approx(450.0, abs=1e-6)
+
+
+def _split_rows_reference(model):
+    """Row-by-row split: one CSR row per stored row, '>' rows negated."""
+    n = model.n_cols
+    eq_rows, ub_rows, ub_sign = [], [], []
+    eq_mats, ub_mats = [], []
+    b_eq, b_ub = [], []
+    for r in range(model.n_rows):
+        cols, coefs = model.row_cols[r], model.row_coefs[r]
+        row = csr_matrix((coefs, (np.zeros(len(cols), dtype=int), cols)), shape=(1, n))
+        sense = model.row_sense[r]
+        if sense == "=":
+            eq_rows.append(r)
+            eq_mats.append(row)
+            b_eq.append(model.row_rhs[r])
+        elif sense == "<":
+            ub_rows.append(r)
+            ub_sign.append(1.0)
+            ub_mats.append(row)
+            b_ub.append(model.row_rhs[r])
+        else:
+            ub_rows.append(r)
+            ub_sign.append(-1.0)
+            ub_mats.append(-row)
+            b_ub.append(-model.row_rhs[r])
+    A_eq = vstack(eq_mats, format="csr") if eq_mats else None
+    A_ub = vstack(ub_mats, format="csr") if ub_mats else None
+    return A_eq, np.array(b_eq), eq_rows, A_ub, np.array(b_ub), ub_rows, np.array(ub_sign)
+
+
+def test_split_rows_matches_row_by_row_reference():
+    instances = {
+        "toy": make_toy(),
+        "mic": make_mic(1000.0),
+        "pab": make_pab_chain(),
+        "generated": generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
+    }
+    for tag, instance in instances.items():
+        for rules in ("pcr", "umfs"):
+            for objective in milp.OBJECTIVES:
+                m = build_request_model(instance, ClearingRequest(objective=objective, rules=rules))
+                got = bk._split_rows(m)
+                ref = _split_rows_reference(m)
+                case = (tag, rules, objective)
+                for k in (0, 3):  # A_eq, A_ub
+                    assert got[k].shape == ref[k].shape, case
+                    np.testing.assert_array_equal(got[k].toarray(), ref[k].toarray(), err_msg=str(case))
+                for k in (1, 4, 6):  # b_eq, b_ub, ub_sign
+                    np.testing.assert_array_equal(got[k], ref[k], err_msg=str(case))
+                assert list(got[2]) == ref[2] and list(got[5]) == ref[5], case

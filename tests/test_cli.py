@@ -119,6 +119,26 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main([]) == 1
 
 
+@pytest.mark.parametrize("damage", ["block powers list", "atc capacity null", "bid not object", "period int"])
+def test_malformed_instance_reports_error(toy_tmp, tmp_path, capsys, damage):
+    if damage == "atc capacity null":
+        assert cli.main(["generate", "--seed", "2", "--out", str(toy_tmp)]) == 0
+        capsys.readouterr()
+    doc = json.loads(toy_tmp.read_text())
+    if damage == "block powers list":
+        doc["block_bids"][0]["powers"]["T1"] = [-10.0]
+    elif damage == "atc capacity null":
+        doc["network"]["atc"]["lines"][0]["capacity"]["T1"] = None
+    elif damage == "bid not object":
+        doc["hourly_bids"][0] = 7
+    else:
+        doc["network"]["periods"] = ["T1", 7]
+    toy_tmp.write_text(json.dumps(doc))
+    assert cli.main(["clear", str(toy_tmp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_gap_env(toy_tmp, monkeypatch, capsys):
     monkeypatch.setenv("DAMCLEAR_GAP", "not-a-number")
     assert cli.main(["clear", str(toy_tmp)]) == 1

@@ -6,10 +6,9 @@ from damclear.engine import (
     ClearingRequest,
     clear,
     compare_pab_models,
-    heuristic_mic_block,
-    heuristic_min_oc,
-    heuristic_volume,
+    staged_clear,
 )
+from damclear.fileio import GeneratorConfig, generate
 from damclear.model import Instance, single_node_network
 from damclear.verify import verify_equilibrium
 
@@ -114,7 +113,7 @@ def test_compare_pab_models_chain():
 def test_heuristic_mic_block_matches_exact():
     inst = make_mic(1000.0)
     trace = {}
-    sol = heuristic_mic_block(inst, ClearingRequest(), trace=trace)
+    sol = staged_clear(inst, ClearingRequest(), trace=trace)
     exact = clear(inst, ClearingRequest())
     assert sol.welfare == pytest.approx(exact.welfare, abs=1e-6)
     stages = trace["stage_objectives"]
@@ -127,7 +126,7 @@ def test_heuristic_mic_block_matches_exact():
 def test_heuristic_mic_block_kept_warm_start_reports_gap():
     # a zero stage-3 budget keeps the stage-2 point; its gap must stay finite
     inst = make_mic(1000.0)
-    sol = heuristic_mic_block(inst, ClearingRequest(stage_time_budgets=(10.0, 10.0, 0.0)))
+    sol = staged_clear(inst, ClearingRequest(stage_time_budgets=(10.0, 10.0, 0.0)))
     assert sol.solver_status == "feasible_gap"
     assert np.isfinite(sol.solver_gap)
     assert verify_equilibrium(inst, sol).overall_pass
@@ -136,7 +135,7 @@ def test_heuristic_mic_block_kept_warm_start_reports_gap():
 def test_heuristic_volume_matches_exact():
     toy = make_toy()
     trace = {}
-    sol = heuristic_volume(toy, ClearingRequest(objective="volume"), trace=trace)
+    sol = staged_clear(toy, ClearingRequest(objective="volume"), trace=trace)
     assert sol.traded_volume == pytest.approx(20.0, abs=1e-6)
     stages = trace["stage_objectives"]
     # stage a is welfare (450); stage b re-optimizes volume on that selection
@@ -149,7 +148,7 @@ def test_heuristic_volume_matches_exact():
 def test_heuristic_min_oc_matches_exact():
     toy = make_toy()
     trace = {}
-    sol = heuristic_min_oc(toy, ClearingRequest(objective="min_opportunity_cost"), trace=trace)
+    sol = staged_clear(toy, ClearingRequest(objective="min_opportunity_cost"), trace=trace)
     assert sol.total_opportunity_cost == pytest.approx(50.0, abs=1e-6)
     stages = trace["stage_objectives"]
     assert stages[0] == pytest.approx(450.0, abs=1e-6)
@@ -159,11 +158,31 @@ def test_heuristic_min_oc_matches_exact():
     assert verify_equilibrium(toy, sol).overall_pass
 
 
+def test_staged_matches_exact_on_seeded_instances():
+    value = {
+        "welfare": lambda s: s.welfare,
+        "volume": lambda s: s.traded_volume,
+        "min_opportunity_cost": lambda s: s.total_opportunity_cost,
+    }
+    for seed in range(1, 7):
+        inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+        for rules in ("pcr", "umfs"):
+            for objective, get in value.items():
+                request = ClearingRequest(objective=objective, rules=rules)
+                staged = staged_clear(inst, request)
+                exact = get(clear(inst, request))
+                got = get(staged)
+                case = (seed, rules, objective)
+                assert abs(got - exact) <= 1e-6 * (1.0 + abs(exact)), (case, got, exact)
+                rep = verify_equilibrium(inst, staged, rules=rules)
+                assert rep.overall_pass, (case, rep.failing_families())
+
+
 def test_heuristics_flag_infeasible_budget():
     # a zero-budget first stage must surface as a ClearingError, not hang
     inst = make_mic(1000.0)
     with pytest.raises(ClearingError):
-        heuristic_mic_block(inst, ClearingRequest(stage_time_budgets=(1e-9, 10.0, 10.0)))
+        staged_clear(inst, ClearingRequest(stage_time_budgets=(1e-9, 10.0, 10.0)))
 
 
 def test_solution_reports_gap_and_status():

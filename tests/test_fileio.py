@@ -260,6 +260,16 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(FileFormatError, match="wrong type"):
         parse_instance(json.dumps(doc))
 
+    doc = doc_of(toy)
+    doc["hourly_bids"][0] = 7
+    with pytest.raises(FileFormatError, match="expected an object"):
+        parse_instance(json.dumps(doc))
+
+    doc = doc_of(toy)
+    doc["block_bids"][0]["powers"]["T1"] = [-10.0]
+    with pytest.raises(FileFormatError, match="wrong type"):
+        parse_instance(json.dumps(doc))
+
 
 def test_parse_network_errors():
     toy = make_toy()
@@ -294,6 +304,16 @@ def test_parse_network_errors():
     doc = doc_of(inst)
     del doc["network"]["atc"]["lines"][0]["capacity"]["T1"]
     with pytest.raises(FileFormatError, match="no capacity for period"):
+        parse_instance(json.dumps(doc))
+
+    doc = doc_of(inst)
+    doc["network"]["atc"]["lines"][0]["capacity"]["T1"] = None
+    with pytest.raises(FileFormatError, match="wrong type"):
+        parse_instance(json.dumps(doc))
+
+    doc = doc_of(toy)
+    doc["network"]["periods"] = ["T1", 7]
+    with pytest.raises(FileFormatError, match="labels must be strings"):
         parse_instance(json.dumps(doc))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from damclear import milp
 from damclear.backend import SolveOptions, resolve_duals, solve_mip
+from damclear.fileio import GeneratorConfig, generate
 from damclear.model import BlockBid, InstanceIndex, MicBid, MicSuborder
 
 from conftest import make_mic, make_pab_chain, make_toy
@@ -61,17 +62,17 @@ def test_big_m_dominates_sampled_surpluses():
 
 def test_binary_count_is_blocks_plus_mic():
     toy = make_toy()
-    m = milp.build_umfs(toy)
+    m = milp.build_model(toy, "umfs")
     assert m.n_binary == 2
     mic = make_mic(1000.0)
-    m2 = milp.add_mic_constraints(milp.build_umfs(mic))
+    m2 = milp.build_model(mic, "umfs")
     assert m2.n_binary == 1
-    m3 = milp.restrict_to_pcr(m2)
+    m3 = milp.build_model(mic, "pcr")
     assert m3.n_binary == 1
 
 
 def test_umfs_column_roles():
-    m = milp.build_umfs(make_toy())
+    m = milp.build_model(make_toy(), "umfs")
     for role in ("x", "y", "u", "n", "pi", "v", "s_hourly", "s_block",
                  "d_accept", "d_reject"):
         assert role in m.roles
@@ -81,27 +82,16 @@ def test_umfs_column_roles():
 
 
 def test_pcr_form_removes_dispatch_columns():
-    m = milp.restrict_to_pcr(milp.build_umfs(make_toy()))
+    m = milp.build_model(make_toy(), "pcr")
     assert m.form == "pcr"
     for role in ("d_accept", "d_reject"):
         assert role not in m.roles
     assert m.n_binary == 2
-    # idempotent
-    again = milp.restrict_to_pcr(m)
-    assert again.n_cols == m.n_cols and again.n_rows == m.n_rows
-
-
-def test_mic_rows_idempotent():
-    m = milp.build_umfs(make_mic(1000.0))
-    one = milp.add_mic_constraints(m)
-    rows = one.n_rows
-    two = milp.add_mic_constraints(one)
-    assert two.n_rows == rows
 
 
 def test_price_bounds_are_cap():
     toy = make_toy()
-    m = milp.build_umfs(toy)
+    m = milp.build_model(toy, "umfs")
     s = m.roles["pi"]
     assert np.all(m.lb[s] == -toy.price_cap)
     assert np.all(m.ub[s] == toy.price_cap)
@@ -110,7 +100,7 @@ def test_price_bounds_are_cap():
 def test_point_violations_accept_equilibrium():
     # hand-built equilibrium for selection {C}: x_A = 10/11, pi = 50
     toy = make_toy()
-    m = milp.build_umfs(toy)
+    m = milp.build_model(toy, "umfs")
     milp.set_objective(m, "welfare")
     point = np.zeros(m.n_cols)
     point[m.roles["x"]] = [10.0 / 11.0, 0.0]
@@ -123,19 +113,63 @@ def test_point_violations_accept_equilibrium():
 
 def test_point_violations_flags_imbalance():
     toy = make_toy()
-    m = milp.build_umfs(toy)
+    m = milp.build_model(toy, "umfs")
     point = np.zeros(m.n_cols)
     point[m.roles["x"]] = [1.0, 0.0]  # buys 11 MW from nobody
     viol = m.point_violations(point)
     assert viol["max"] > 1.0
 
 
+def _row_violations_reference(model, point):
+    """Row-by-row residuals: positive where a stored row fails at the point."""
+    rows = np.zeros(model.n_rows)
+    for r, (cols, coefs) in enumerate(zip(model.row_cols, model.row_coefs)):
+        act = float(coefs @ point[cols])
+        rhs = model.row_rhs[r]
+        sense = model.row_sense[r]
+        if sense == "<":
+            rows[r] = act - rhs
+        elif sense == ">":
+            rows[r] = rhs - act
+        else:
+            rows[r] = abs(act - rhs)
+    return np.clip(rows, 0.0, None)
+
+
+def test_point_violations_match_row_by_row_reference():
+    # the matrix product sums each row in another order than the loop, so
+    # rows agree to a few ulps of the row's absolute activity
+    rng = np.random.default_rng(11)
+    instances = (
+        make_toy(), make_mic(1000.0), make_pab_chain(),
+        generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
+    )
+    for instance in instances:
+        for form in ("umfs", "pcr"):
+            m = milp.build_model(instance, form)
+            lo = np.where(np.isfinite(m.lb), m.lb, -1e3)
+            hi = np.where(np.isfinite(m.ub), m.ub, 1e3)
+            for _ in range(20):
+                point = rng.uniform(lo - 1.0, hi + 1.0)
+                got = m.point_violations(point)
+                ref = _row_violations_reference(m, point)
+                scale = np.array([
+                    np.abs(coefs) @ np.abs(point[cols]) + abs(rhs)
+                    for cols, coefs, rhs in zip(m.row_cols, m.row_coefs, m.row_rhs)
+                ])
+                assert np.all(np.abs(got["rows"] - ref) <= 8 * np.finfo(float).eps * scale)
+                np.testing.assert_array_equal(got["lb"], np.clip(m.lb - point, 0.0, None))
+                np.testing.assert_array_equal(got["ub"], np.clip(point - m.ub, 0.0, None))
+                expected_max = max(ref.max(initial=0.0), got["lb"].max(), got["ub"].max())
+                assert got["max"] == pytest.approx(expected_max, rel=1e-12, abs=1e-12)
+
+
 def test_dispatcher_and_merged_forms_agree():
     # same optimum through the explicit-dispatcher and merged-row forms
     toy = make_toy()
     for objective in ("welfare", "volume"):
-        u = milp.set_objective(milp.build_umfs(toy), objective)
-        p = milp.set_objective(milp.restrict_to_pcr(milp.build_umfs(toy)), objective)
+        u = milp.set_objective(milp.build_model(toy, "umfs"), objective)
+        p = milp.set_objective(milp.build_model(toy, "pcr"), objective)
         ou = solve_mip(u, SolveOptions())
         op = solve_mip(p, SolveOptions())
         assert ou.status == "optimal" and op.status == "optimal"
@@ -148,44 +182,40 @@ def test_pab_selection_feasible_only_with_dispatchers():
     inst = make_pab_chain()
     y_all = np.ones(3)
     u_none = np.zeros(0)
-    umfs = milp.set_objective(milp.build_umfs(inst), "welfare")
+    umfs = milp.set_objective(milp.build_model(inst, "umfs"), "welfare")
     out = resolve_duals(umfs, y_all, u_none)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(280.0, abs=1e-6)
-    pcr = milp.set_objective(milp.restrict_to_pcr(milp.build_umfs(inst)), "welfare")
+    pcr = milp.set_objective(milp.build_model(inst, "pcr"), "welfare")
     out2 = resolve_duals(pcr, y_all, u_none)
     assert out2.status == "infeasible"
 
 
 def test_min_oc_objective_requires_dispatchers():
-    m = milp.restrict_to_pcr(milp.build_umfs(make_toy()))
+    m = milp.build_model(make_toy(), "pcr")
     with pytest.raises(milp.ModelFormError):
         milp.set_objective(m, "min_opportunity_cost")
 
 
 def test_forbid_paradoxical_acceptance_pins_compensation():
-    m = milp.forbid_paradoxical_acceptance(milp.build_umfs(make_toy()))
+    m = milp.forbid_paradoxical_acceptance(milp.build_model(make_toy(), "umfs"))
     s = m.roles["d_accept"]
     assert np.all(m.ub[s] == 0.0)
-    p = milp.restrict_to_pcr(milp.build_umfs(make_toy()))
+    p = milp.build_model(make_toy(), "pcr")
     with pytest.raises(milp.ModelFormError):
         milp.forbid_paradoxical_acceptance(p)
 
 
 def test_unknown_objective_rejected():
-    m = milp.build_umfs(make_toy())
+    m = milp.build_model(make_toy(), "umfs")
     with pytest.raises(ValueError):
         milp.set_objective(m, "profit")
-
-
-def test_branch_hints_mark_mic_binaries():
-    m = milp.add_mic_constraints(milp.build_umfs(make_mic(1000.0)))
-    us = m.roles["u"]
-    assert set(m.branch_hints) == set(range(us.start, us.stop))
+    with pytest.raises(ValueError):
+        milp.build_model(make_toy(), "euphemia")
 
 
 def test_write_lp(tmp_path):
-    m = milp.set_objective(milp.build_umfs(make_toy()), "welfare")
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     path = tmp_path / "toy.lp"
     milp.write_lp(m, path)
     text = path.read_text()
@@ -196,7 +226,7 @@ def test_write_lp(tmp_path):
 
 
 def test_copy_isolates_bounds():
-    m = milp.build_umfs(make_toy())
+    m = milp.build_model(make_toy(), "umfs")
     c = m.copy()
     c.lb[c.roles["y"]] = 1.0
     assert np.all(m.lb[m.roles["y"]] == 0.0)
@@ -206,7 +236,7 @@ def test_empty_instance_builds():
     from damclear.model import Instance, single_node_network
 
     inst = Instance((), (), (), single_node_network(), 10.0)
-    m = milp.set_objective(milp.build_umfs(inst), "welfare")
+    m = milp.set_objective(milp.build_model(inst, "umfs"), "welfare")
     assert m.n_binary == 0
     out = solve_mip(m, SolveOptions())
     assert out.status == "optimal"

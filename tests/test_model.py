@@ -15,7 +15,6 @@ from damclear.model import (
     single_node_network,
     total_block_opportunity_cost,
     traded_volume,
-    traded_volume_half_abs,
     validate_instance,
     welfare,
 )
@@ -150,7 +149,6 @@ def test_welfare_and_volume_on_toy_dispatch():
     sol = solution_for(toy, [10.0 / 11.0, 0.0], [], [1.0, 0.0], [], [[50.0]])
     assert welfare(toy, sol) == pytest.approx(450.0, abs=1e-12)
     assert traded_volume(toy, sol) == pytest.approx(10.0, abs=1e-12)
-    assert traded_volume_half_abs(toy, sol) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_block_surplus_terms_rejected_opportunity_cost():
