@@ -175,7 +175,7 @@ def _cmd_oracle(args) -> int:
     instance = fileio.parse(args.instance)
     t0 = time.perf_counter()
     try:
-        result = enumerate_selections(instance, rules=args.rules, workers=args.workers)
+        result = enumerate_selections(instance, rules=args.rules)
     except OracleGuardError as exc:
         print(f"instance too large for enumeration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -293,7 +293,6 @@ def _build_parser() -> _Parser:
     o.add_argument("instance")
     o.add_argument("--objective", choices=tuple(_OBJ_FROM_FLAG), default="welfare")
     o.add_argument("--rules", choices=("pcr", "umfs"), default="pcr")
-    o.add_argument("--workers", type=int, default=1)
     o.add_argument("--out", default=None)
     o.set_defaults(func=_cmd_oracle)
 

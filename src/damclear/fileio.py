@@ -57,6 +57,17 @@ def _number(obj: dict, key: str, ctx: str) -> float:
     return float(val)
 
 
+def _array(obj: dict, key: str, ctx: str) -> np.ndarray:
+    val = _need(obj, key, list, ctx)
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        # object elements or ragged nesting
+        raise FileFormatError(
+            f"{ctx}: field '{key}' must be a rectangular array of numbers"
+        ) from None
+
+
 def atc_network(
     locations: Sequence[str], periods: Sequence[str], lines: Sequence[AtcLine]
 ) -> Network:
@@ -132,9 +143,9 @@ def _parse_network(data: dict) -> Network:
     ab = _need(data, "abstract", dict, "network")
     K = _need(ab, "basis", int, "network.abstract")
     L, T = len(locations), len(periods)
-    e = np.asarray(_need(ab, "export_coeffs", list, "network.abstract"), dtype=float)
-    a = np.asarray(_need(ab, "rows", list, "network.abstract"), dtype=float)
-    w = np.asarray(_need(ab, "capacities", list, "network.abstract"), dtype=float)
+    e = _array(ab, "export_coeffs", "network.abstract")
+    a = _array(ab, "rows", "network.abstract")
+    w = _array(ab, "capacities", "network.abstract")
     if e.shape != (K, L, T):
         if K == 0 and e.size == 0:
             e = e.reshape(0, L, T)
@@ -559,7 +570,7 @@ def read_solution(path, instance: Instance) -> ClearingSolution:
         for k, bid_id in enumerate(ids):
             if bid_id not in mapping:
                 raise FileFormatError(f"solution: {ctx} entry for {bid_id!r} missing")
-            out[k] = float(mapping[bid_id])
+            out[k] = _number(mapping, bid_id, f"acceptance.{ctx}")
         return out
 
     x = arr(idx.n_hourly, _need(acc, "hourly", dict, "acceptance"),
@@ -573,20 +584,20 @@ def read_solution(path, instance: Instance) -> ClearingSolution:
     for k, c in enumerate(instance.mic_bids):
         vals = sub_map.get(c.id)
         sl = idx.mic_slices[k]
-        if vals is None or len(vals) != sl.stop - sl.start:
+        if not isinstance(vals, list) or len(vals) != sl.stop - sl.start:
             raise FileFormatError(f"solution: mic_suborders for {c.id!r} missing or wrong length")
-        x_mic[sl] = np.asarray(vals, dtype=float)
+        x_mic[sl] = _array(sub_map, c.id, "acceptance.mic_suborders")
 
     def darr(key, count):
-        vals = np.asarray(_need(duals, key, list, "duals"), dtype=float)
+        vals = _array(duals, key, "duals")
         if vals.shape != (count,):
             raise FileFormatError(f"solution: duals.{key} must have length {count}")
         return vals
 
-    prices = np.asarray(_need(data, "prices", list, "solution"), dtype=float)
+    prices = _array(data, "prices", "solution")
     if prices.shape != (idx.L, idx.T):
         raise FileFormatError(f"solution: prices must be {idx.L}x{idx.T}")
-    net_positions = np.asarray(_need(data, "net_positions", list, "solution"), dtype=float)
+    net_positions = _array(data, "net_positions", "solution")
     if net_positions.shape != (idx.n_basis,):
         raise FileFormatError(f"solution: net_positions must have length {idx.n_basis}")
     return ClearingSolution(

@@ -1,38 +1,50 @@
 """Exhaustive ground truth for small instances.
 
-Enumerates every block/MIC acceptance selection and, for each one, decides
-admissibility and computes per-objective extremes from first principles:
+Enumerates every block/MIC acceptance selection and decides, from first
+principles, whether it supports equilibrium prices. A selection is
+admissible exactly when its joint polytope is nonempty. The polytope
+couples the primal-optimal face with the dual-optimal face of the
+parametrized LP pair: primal dispatch rows, dual feasibility rows, prices
+boxed at the cap, one row pinning the primal objective to the dual
+objective, and the linear income rows of accepted MIC bids. Weak duality
+across those rows makes every point of the polytope primal- and
+dual-optimal; a selection that cannot be dispatched at all leaves it empty.
 
-1. a fixed-selection primal LP gives the selection's welfare (infeasible
-   means the selection cannot be dispatched at all);
-2. a joint polytope couples the primal-optimal face with the dual-optimal
-   face of the parametrized LP pair (dual feasibility rows, dual objective
-   pinned to the primal optimum, prices boxed) plus the linear income rows
-   of accepted MIC bids -- nonempty means the selection supports
-   equilibrium prices;
-3. traded volume is maximized and the rejected-block compensation sum is
-   minimized over that same joint polytope, because income rows couple the
-   two faces and extremes taken over either face alone could be
-   unreachable.
+The polytope's matrix does not depend on the selection, so it is assembled
+once per instance and rule set, with every column. A selection changes
+only bounds (the suborder caps of its MIC bids and the dual slacks it
+switches off) and right-hand sides (the accepted blocks' balance and
+welfare terms, the accepted MIC bids' fixed costs). Two LPs run over it:
 
-The optimum per objective is then the best over admissible selections.
-This module intentionally builds its LPs directly on scipy, sharing no
-assembly code with the MILP builder it is meant to check.
+1. traded volume is maximized, which doubles as the feasibility probe;
+   the selection's welfare is read at that point;
+2. the rejected-block compensation sum is minimized.
+
+Both extremes are taken over the joint polytope, because the income rows
+couple the two faces and extremes taken over either face alone could be
+unreachable. The optimum per objective is then the best over admissible
+selections. This module intentionally builds its LPs directly on scipy,
+sharing no assembly code with the MILP builder it is meant to check.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_array
 
 from .model import ClearingSolution, Instance, InstanceIndex, validate_instance
 
 GUARD = 20
+
+# the face sits on the objective-equality hyperplane and has no relative
+# interior; tight simplex can stall or mis-declare it infeasible, so fall
+# through to gentler configurations and trust an infeasible verdict only
+# from the last rung
+_RUNGS = (("highs", 1e-9), ("highs", 1e-7), ("highs-ipm", 1e-9))
 
 
 class OracleGuardError(ValueError):
@@ -69,374 +81,215 @@ class SelectionOracleResult:
         return self.optima[objective].value
 
 
-class _ConstResult:
-    """linprog-shaped result for the zero-column degenerate case."""
+class _Face:
+    """Joint primal/dual optimal polytope of one instance under one rule set.
 
-    def __init__(self, feasible):
-        self.status = 0 if feasible else 2
-        self.x = np.zeros(0)
-        self.fun = 0.0
-        self.message = "constant problem"
+    Columns, in order: hourly acceptances x, suborder acceptances xm,
+    network basis flows n, prices pi, network row duals v, the dual slacks
+    si, sh, sj, sc of hourly bids, suborders, blocks and MIC bids, then per
+    block da (umfs only: the compensation of a paradoxically accepted
+    block), per block dr (a rejected block's compensation) and per MIC bid
+    dur (the slack of a rejected MIC bid). Equality rows: balance per (location,
+    period), dual feasibility per basis flow, and the optimality pin
+    (primal objective minus dual objective equals minus the accepted-block
+    welfare). Inequality rows, stored as <=: network capacities, dual
+    feasibility per hourly bid, suborder, block and MIC bid, and one income
+    row per MIC bid (void for a rejected bid, whose suborders are capped
+    at 0).
+    """
 
-
-def _lp(c, rows, senses, rhs, bounds, sense="min"):
-    """Tiny LP front end: rows as (cols, coefs) pairs, senses in {<,=,>}."""
-    n = len(bounds)
-    if n == 0:
-        # every row reads 0 <sense> rhs; feasibility is a sign check
-        ok = all(
-            (abs(r) <= 1e-9) if s == "=" else
-            (r >= -1e-9) if s == "<" else (r <= 1e-9)
-            for s, r in zip(senses, rhs)
-        )
-        return _ConstResult(ok)
-    eq_i, ub_i = [], []
-    for k, s in enumerate(senses):
-        (eq_i if s == "=" else ub_i).append(k)
-
-    def stack(index, flip):
-        data, cix, rix = [], [], []
-        b = []
-        for out_r, k in enumerate(index):
-            cols, coefs = rows[k]
-            mult = -1.0 if (flip and senses[k] == ">") else 1.0
-            rix.extend([out_r] * len(cols))
-            cix.extend(cols)
-            data.extend((mult * np.asarray(coefs)).tolist())
-            b.append(mult * rhs[k])
-        if not index:
-            return None, None
-        return csr_matrix((data, (rix, cix)), shape=(len(index), n)), np.array(b)
-
-    A_eq, b_eq = stack(eq_i, flip=False)
-    A_ub, b_ub = stack(ub_i, flip=True)
-    cvec = np.asarray(c, dtype=float) if sense == "min" else -np.asarray(c, dtype=float)
-    # the face systems sit on an objective-equality hyperplane with no
-    # relative interior; tight simplex can stall or mis-declare them
-    # infeasible, so fall through to gentler configurations and trust an
-    # infeasible verdict only from the last rung
-    res = None
-    for method, tol in (("highs", 1e-9), ("highs", 1e-7), ("highs-ipm", 1e-9)):
-        res = linprog(
-            cvec, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-            bounds=bounds, method=method,
-            options={"presolve": True, "primal_feasibility_tolerance": tol,
-                     "dual_feasibility_tolerance": tol},
-        )
-        if res.status in (0, 3):
-            return res
-    return res
-
-
-class _Enumerator:
     def __init__(self, instance: Instance, rules: str):
-        validate_instance(instance)
-        if rules not in ("pcr", "umfs"):
-            raise ValueError(f"unknown rules {rules!r}")
-        self.instance = instance
-        self.rules = rules
-        self.idx = InstanceIndex(instance)
-        self.cap = instance.price_cap
-        idx = self.idx
-        self.nb = idx.n_block + idx.n_mic
-        if self.nb > GUARD:
-            raise OracleGuardError(
-                f"{self.nb} binaries exceed the enumeration guard of {GUARD}"
-            )
-        self.block_welfare = idx.block_total * idx.block_limit
-        self.block_buy_volume = np.clip(idx.block_powers, 0.0, None).sum(axis=1)
-
-    def selection(self, mask: int):
-        idx = self.idx
-        y = np.array([(mask >> j) & 1 for j in range(idx.n_block)], dtype=float)
-        u = np.array([(mask >> (idx.n_block + c)) & 1 for c in range(idx.n_mic)], dtype=float)
-        return y, u
-
-    def fixed_primal(self, y, u):
-        """Welfare of the dispatch LP at a fixed selection, or None."""
-        idx = self.idx
-        nI, nS, K = idx.n_hourly, idx.n_sub, idx.n_basis
-        n0, nn = nI + nS, nI + nS + K
-        bounds = (
-            [(0.0, 1.0)] * nI
-            + [(0.0, float(u[idx.sub_owner[h]])) for h in range(nS)]
-            + [(None, None)] * K
-        )
-        rows, senses, rhs = [], [], []
-        bal_rhs = np.zeros(idx.LT)
-        for j in range(idx.n_block):
-            if y[j]:
-                base = idx.block_loc[j] * idx.T
-                for t in range(idx.T):
-                    bal_rhs[base + t] -= idx.block_powers[j, t]
-        for lt in range(idx.LT):
-            cols = [i for i in range(nI) if idx.hourly_lt[i] == lt]
-            coefs = [idx.hourly_power[i] for i in cols]
-            for h in range(nS):
-                if idx.sub_lt[h] == lt:
-                    cols.append(nI + h)
-                    coefs.append(idx.sub_power[h])
-            for k in range(K):
-                e = idx.injection_flat[k, lt]
-                if e:
-                    cols.append(n0 + k)
-                    coefs.append(-e)
-            rows.append((cols, coefs))
-            senses.append("=")
-            rhs.append(bal_rhs[lt])
-        a = self.instance.network.constraint_rows
-        for m in range(idx.n_net_rows):
-            nz = np.nonzero(a[m])[0]
-            rows.append(((n0 + nz).tolist(), a[m, nz].tolist()))
-            senses.append("<")
-            rhs.append(float(self.instance.network.capacities[m]))
-        c = np.zeros(nn)
-        c[:nI] = idx.hourly_power * idx.hourly_limit
-        c[nI: nI + nS] = idx.sub_power * idx.sub_limit
-        res = _lp(c, rows, senses, rhs, bounds, sense="max")
-        if res.status != 0:
-            return None
-        return float(c @ res.x) + float(self.block_welfare @ y)
-
-    def face(self, y, u):
-        """Joint primal/dual optimal polytope at a selection.
-
-        Returns (volume extreme, min compensation sum, witness dict) or
-        None when the polytope is empty (selection not supportable).
-
-        Optimality is pinned intrinsically by one equality row (primal
-        objective == dual objective); weak duality across the assembled
-        rows then forces both sides to the fixed-selection optimum. No
-        externally computed welfare value enters the system, so the face
-        is exact: a pinning corridor of width e would be amplified into
-        the compensation minimum by the rejected blocks' price
-        sensitivity.
-        """
-        got = self._face_at(y, u)
-        if got == "empty":
-            return None
-        if got == "stuck":
-            raise RuntimeError("face LPs failed at every solver rung")
-        return got
-
-    def _face_at(self, y, u):
-        idx = self.idx
-        cap = self.cap
+        idx = self.idx = InstanceIndex(instance)
         nI, nS, nJ, nC = idx.n_hourly, idx.n_sub, idx.n_block, idx.n_mic
         K, LT, M = idx.n_basis, idx.LT, idx.n_net_rows
-        acc_j = [j for j in range(nJ) if y[j]]
-        rej_j = [j for j in range(nJ) if not y[j]]
-        acc_c = [c for c in range(nC) if u[c]]
-        rej_c = [c for c in range(nC) if not u[c]]
-        with_da = self.rules == "umfs"
+        a = instance.network.constraint_rows
+        w = np.asarray(instance.network.capacities, dtype=float)
+        e = idx.injection_flat
+        cap = instance.price_cap
+        self.block_welfare = idx.block_total * idx.block_limit
 
-        # column layout
-        ofs = {}
+        cols = {}
         pos = 0
         for name, count in (
             ("x", nI), ("xm", nS), ("n", K), ("pi", LT), ("v", M),
             ("si", nI), ("sh", nS), ("sj", nJ), ("sc", nC),
-            ("da", len(acc_j) if with_da else 0),
-            ("dr", len(rej_j)), ("dur", len(rej_c)),
+            ("da", nJ if rules == "umfs" else 0), ("dr", nJ), ("dur", nC),
         ):
-            ofs[name] = pos
+            cols[name] = np.arange(pos, pos + count)
             pos += count
-        ncols = pos
-        da_of = {j: ofs["da"] + k for k, j in enumerate(acc_j)} if with_da else {}
-        dr_of = {j: ofs["dr"] + k for k, j in enumerate(rej_j)}
-        dur_of = {c: ofs["dur"] + k for k, c in enumerate(rej_c)}
+        self.cols = cols
+        n = pos
 
-        bounds = []
-        bounds += [(0.0, 1.0)] * nI
-        bounds += [(0.0, float(u[idx.sub_owner[h]])) for h in range(nS)]
-        bounds += [(None, None)] * K
-        bounds += [(-cap, cap)] * LT
-        bounds += [(0.0, None)] * (ncols - len(bounds))
+        entries = {"eq": ([], [], []), "ub": ([], [], [])}
 
-        rows, senses, rhs = [], [], []
+        def put(kind, rows, at, vals):
+            r, c, v = entries[kind]
+            r.append(np.broadcast_to(rows, np.shape(at)))
+            c.append(at)
+            v.append(np.broadcast_to(vals, np.shape(at)).astype(float))
 
-        def add(cols, coefs, s, b):
-            rows.append((list(cols), list(coefs)))
-            senses.append(s)
-            rhs.append(float(b))
+        # equality rows: balance (LT), basis-flow dual feasibility (K), pin
+        ek, elt = np.nonzero(e)
+        am, ak = np.nonzero(a)
+        put("eq", idx.hourly_lt, cols["x"], idx.hourly_power)
+        put("eq", idx.sub_lt, cols["xm"], idx.sub_power)
+        put("eq", elt, cols["n"][ek], -e[ek, elt])
+        put("eq", LT + ak, cols["v"][am], a[am, ak])
+        put("eq", LT + ek, cols["pi"][elt], -e[ek, elt])
+        pin = LT + K
+        self.c_primal = np.concatenate(
+            (idx.hourly_power * idx.hourly_limit, idx.sub_power * idx.sub_limit)
+        )
+        put("eq", pin, np.concatenate((cols["x"], cols["xm"])), self.c_primal)
+        for name in ("si", "sj", "sc"):
+            put("eq", pin, cols[name], -1.0)
+        wm = np.nonzero(w)[0]
+        put("eq", pin, cols["v"][wm], -w[wm])
+        put("eq", pin, cols["da"], 1.0)
 
-        # primal rows
-        bal_rhs = np.zeros(LT)
-        for j in acc_j:
-            base = idx.block_loc[j] * idx.T
-            for t in range(idx.T):
-                bal_rhs[base + t] -= idx.block_powers[j, t]
-        for lt in range(LT):
-            cols = [i for i in range(nI) if idx.hourly_lt[i] == lt]
-            coefs = [idx.hourly_power[i] for i in cols]
-            for h in range(nS):
-                if idx.sub_lt[h] == lt:
-                    cols.append(ofs["xm"] + h)
-                    coefs.append(idx.sub_power[h])
-            for k in range(K):
-                e = idx.injection_flat[k, lt]
-                if e:
-                    cols.append(ofs["n"] + k)
-                    coefs.append(-e)
-            add(cols, coefs, "=", bal_rhs[lt])
-        a = self.instance.network.constraint_rows
-        w = self.instance.network.capacities
-        for m in range(M):
-            nz = np.nonzero(a[m])[0]
-            add((ofs["n"] + nz).tolist(), a[m, nz].tolist(), "<", float(w[m]))
+        # inequality rows, negated to <= where the row reads >=
+        r_hourly = M
+        r_sub = r_hourly + nI
+        r_block = r_sub + nS
+        r_mic = r_block + nJ
+        r_income = r_mic + nC
+        put("ub", am, cols["n"][ak], a[am, ak])
+        put("ub", r_hourly + np.arange(nI), cols["si"], -1.0)
+        put("ub", r_hourly + np.arange(nI), cols["pi"][idx.hourly_lt], -idx.hourly_power)
+        put("ub", r_sub + np.arange(nS), cols["sh"], -1.0)
+        put("ub", r_sub + np.arange(nS), cols["pi"][idx.sub_lt], -idx.sub_power)
+        bj, bt = np.nonzero(idx.block_powers)
+        put("ub", r_block + np.arange(nJ), cols["sj"], -1.0)
+        put("ub", r_block + bj, cols["pi"][idx.block_loc[bj] * idx.T + bt],
+            -idx.block_powers[bj, bt])
+        put("ub", r_block + np.arange(len(cols["da"])), cols["da"], 1.0)
+        put("ub", r_block + np.arange(nJ), cols["dr"], -1.0)
+        put("ub", r_mic + np.arange(nC), cols["sc"], -1.0)
+        put("ub", r_mic + idx.sub_owner, cols["sh"], 1.0)
+        put("ub", r_mic + np.arange(nC), cols["dur"], -1.0)
+        put("ub", r_income + np.arange(nC), cols["sc"], -1.0)
+        put("ub", r_income + idx.sub_owner, cols["xm"],
+            -idx.sub_power * (idx.mic_variable[idx.sub_owner] - idx.sub_limit))
 
-        # dual feasibility
-        for i in range(nI):
-            add([ofs["si"] + i, ofs["pi"] + idx.hourly_lt[i]],
-                [1.0, idx.hourly_power[i]], ">",
-                idx.hourly_power[i] * idx.hourly_limit[i])
-        for h in range(nS):
-            add([ofs["sh"] + h, ofs["pi"] + idx.sub_lt[h]],
-                [1.0, idx.sub_power[h]], ">",
-                idx.sub_power[h] * idx.sub_limit[h])
-        for j in range(nJ):
-            cols = [ofs["sj"] + j]
-            coefs = [1.0]
-            base = idx.block_loc[j] * idx.T
-            for t in range(idx.T):
-                p = idx.block_powers[j, t]
-                if p:
-                    cols.append(ofs["pi"] + base + t)
-                    coefs.append(p)
-            if y[j]:
-                if with_da:
-                    cols.append(da_of[j])
-                    coefs.append(-1.0)
-            else:
-                cols.append(dr_of[j])
-                coefs.append(1.0)
-            add(cols, coefs, ">", self.block_welfare[j])
-        for c in range(nC):
-            sl = idx.mic_slices[c]
-            cols = [ofs["sc"] + c] + [ofs["sh"] + h for h in range(sl.start, sl.stop)]
-            coefs = [1.0] + [-1.0] * (sl.stop - sl.start)
-            if not u[c]:
-                cols.append(dur_of[c])
-                coefs.append(1.0)
-            add(cols, coefs, ">", 0.0)
-        for k in range(K):
-            nzm = np.nonzero(a[:, k])[0]
-            cols = (ofs["v"] + nzm).tolist()
-            coefs = a[nzm, k].tolist()
-            for lt in range(LT):
-                e = idx.injection_flat[k, lt]
-                if e:
-                    cols.append(ofs["pi"] + lt)
-                    coefs.append(-e)
-            add(cols, coefs, "=", 0.0)
+        def matrix(kind, n_rows):
+            r, c, v = (np.concatenate(part) for part in entries[kind])
+            return coo_array((v, (r, c)), shape=(n_rows, n))
 
-        # intrinsic optimality pin: primal objective minus dual objective
-        # equals the accepted-block welfare constant (W == D); weak duality
-        # across the rows above then forces both sides to the optimum
-        ocols = list(range(nI)) + [ofs["xm"] + h for h in range(nS)]
-        ocoefs = (idx.hourly_power * idx.hourly_limit).tolist() + (
-            idx.sub_power * idx.sub_limit
-        ).tolist()
-        ocols += [ofs["si"] + i for i in range(nI)]
-        ocoefs += [-1.0] * nI
-        ocols += [ofs["sj"] + j for j in range(nJ)]
-        ocoefs += [-1.0] * nJ
-        ocols += [ofs["sc"] + c for c in range(nC)]
-        ocoefs += [-1.0] * nC
-        for m in range(M):
-            if w[m]:
-                ocols.append(ofs["v"] + m)
-                ocoefs.append(-float(w[m]))
-        for j in acc_j:
-            if with_da:
-                ocols.append(da_of[j])
-                ocoefs.append(1.0)
-        add(ocols, ocoefs, "=", -float(self.block_welfare @ y))
+        self.A_eq = matrix("eq", pin + 1)
+        self.A_ub = matrix("ub", r_income + nC)
+        self.b_eq = np.zeros(pin + 1)
+        self.b_ub = np.concatenate((
+            w,
+            -idx.hourly_power * idx.hourly_limit,
+            -idx.sub_power * idx.sub_limit,
+            -self.block_welfare,
+            np.zeros(2 * nC),
+        ))
+        self.income = slice(r_income, r_income + nC)
+        self.lo = np.zeros(n)
+        self.hi = np.full(n, np.inf)
+        self.hi[cols["x"]] = 1.0
+        self.lo[cols["n"]] = -np.inf
+        self.lo[cols["pi"]] = -cap
+        self.hi[cols["pi"]] = cap
 
-        # linear income rows of accepted MIC bids
-        for c in acc_c:
-            sl = idx.mic_slices[c]
-            cols = [ofs["sc"] + c]
-            coefs = [1.0]
-            for h in range(sl.start, sl.stop):
-                cols.append(ofs["xm"] + h)
-                coefs.append(idx.sub_power[h] * (idx.mic_variable[c] - idx.sub_limit[h]))
-            add(cols, coefs, ">", idx.mic_fixed[c])
+        # accepted blocks' balance terms and welfare move to the rhs
+        self.block_balance = np.zeros((LT, nJ))
+        self.block_balance[idx.block_loc[bj] * idx.T + bt, bj] = idx.block_powers[bj, bt]
+        self.block_buy_volume = np.clip(idx.block_powers, 0.0, None).sum(axis=1)
+        self.c_volume = np.zeros(n)
+        self.c_volume[cols["x"]] = np.clip(idx.hourly_power, 0.0, None)
+        self.c_compensation = np.zeros(n)
+        self.c_compensation[cols["dr"]] = 1.0
 
-        # volume extreme doubles as the feasibility probe
-        cvol = np.zeros(ncols)
-        cvol[:nI] = np.clip(idx.hourly_power, 0.0, None)
-        res = _lp(cvol, rows, senses, rhs, bounds, sense="max")
-        if res.status == 2:
-            return "empty"
-        if res.status != 0:
-            return "stuck"
-        vol = float(cvol @ res.x) + float(self.block_buy_volume @ y)
+    def _solve(self, c, b_ub, b_eq, bounds):
+        res = None
+        for method, tol in _RUNGS:
+            res = linprog(
+                c, A_ub=self.A_ub, b_ub=b_ub,
+                A_eq=self.A_eq, b_eq=b_eq, bounds=bounds, method=method,
+                options={"presolve": True, "primal_feasibility_tolerance": tol,
+                         "dual_feasibility_tolerance": tol},
+            )
+            if res.status in (0, 3):
+                return res
+        return res
+
+    def extremes(self, y, u):
+        """(welfare, max volume, min compensation, witness) at a selection.
+
+        Returns None when the polytope is empty (selection not
+        supportable). Optimality is pinned intrinsically by the pin row; no
+        externally computed welfare value enters the system, so the face
+        is exact: a pinning corridor of width e would be amplified into
+        the compensation minimum by the rejected blocks' price sensitivity.
+        """
+        idx, cols = self.idx, self.cols
+        b_eq = self.b_eq.copy()
+        b_eq[: idx.LT] = -(self.block_balance @ y)
+        b_eq[-1] = -float(self.block_welfare @ y)
+        b_ub = self.b_ub.copy()
+        b_ub[self.income] = -idx.mic_fixed * u
+        hi = self.hi.copy()
+        hi[cols["xm"]] = u[idx.sub_owner]
+        if len(cols["da"]):
+            hi[cols["da"]] = np.where(y > 0, np.inf, 0.0)
+        hi[cols["dr"]] = np.where(y > 0, 0.0, np.inf)
+        hi[cols["dur"]] = np.where(u > 0, 0.0, np.inf)
+        bounds = np.column_stack((self.lo, hi))
+
+        vol = self._solve(-self.c_volume, b_ub, b_eq, bounds)
+        if vol.status == 2:
+            return None
+        comp = self._solve(self.c_compensation, b_ub, b_eq, bounds) if vol.status == 0 else vol
+        if comp.status != 0:
+            raise RuntimeError("face LPs failed at every solver rung")
         witness = {
-            "x": res.x[:nI].copy(),
-            "x_mic": res.x[ofs["xm"]: ofs["xm"] + nS].copy(),
-            "prices": res.x[ofs["pi"]: ofs["pi"] + LT].copy().reshape(idx.L, idx.T),
+            "x": vol.x[cols["x"]],
+            "x_mic": vol.x[cols["xm"]],
+            "prices": vol.x[cols["pi"]].reshape(idx.L, idx.T),
         }
-
-        coc = np.zeros(ncols)
-        for j in rej_j:
-            coc[dr_of[j]] = 1.0
-        res2 = _lp(coc, rows, senses, rhs, bounds, sense="min")
-        if res2.status != 0:
-            return "stuck"
-        oc = float(coc @ res2.x)
-        return vol, oc, witness
+        return (
+            float(self.c_primal @ vol.x[: len(self.c_primal)]) + float(self.block_welfare @ y),
+            float(self.c_volume @ vol.x) + float(self.block_buy_volume @ y),
+            float(self.c_compensation @ comp.x),
+            witness,
+        )
 
 
-def enumerate_selections(
-    instance: Instance,
-    rules: str = "pcr",
-    workers: int = 1,
-    guard: int = GUARD,
-) -> SelectionOracleResult:
+def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOracleResult:
     """Ground-truth optima for every objective under one rule set.
 
-    Guard-limited to #blocks + #MIC <= 20 (enumeration is exponential).
-    With workers > 1 the selections are probed in a thread pool; records
-    are merged in selection order either way, so results are deterministic.
+    Guard-limited to #blocks + #MIC <= GUARD (enumeration is exponential).
+    Records come in selection order, so results are deterministic.
     """
-    en = _Enumerator(instance, rules)
-    if en.nb > guard:
-        raise OracleGuardError(f"{en.nb} binaries exceed the guard of {guard}")
-    idx = en.idx
+    validate_instance(instance)
+    if rules not in ("pcr", "umfs"):
+        raise ValueError(f"unknown rules {rules!r}")
     block_ids = [b.id for b in instance.block_bids]
     mic_ids = [c.id for c in instance.mic_bids]
-
-    def probe(mask):
-        y, u = en.selection(mask)
-        wstar = en.fixed_primal(y, u)
-        if wstar is None:
-            return None
-        got = en.face(y, u)
-        if got is None:
-            return None
-        vol, oc, witness = got
-        return SelectionRecord(
-            accepted_blocks=tuple(block_ids[j] for j in range(idx.n_block) if y[j]),
-            accepted_mic=tuple(mic_ids[c] for c in range(idx.n_mic) if u[c]),
-            welfare=wstar,
-            max_volume=vol,
-            min_opportunity_cost=oc,
-        ), witness
-
-    masks = range(2 ** en.nb)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(probe, masks))
-    else:
-        raw = [probe(m) for m in masks]
+    nJ, nb = len(block_ids), len(block_ids) + len(mic_ids)
+    if nb > GUARD:
+        raise OracleGuardError(f"{nb} binaries exceed the enumeration guard of {GUARD}")
+    face = _Face(instance, rules)
 
     records = []
     witnesses = []
-    for item in raw:
-        if item is not None:
-            records.append(item[0])
-            witnesses.append(item[1])
+    for mask in range(2 ** nb):
+        bits = ((mask >> np.arange(nb)) & 1).astype(float)
+        y, u = bits[:nJ], bits[nJ:]
+        got = face.extremes(y, u)
+        if got is None:
+            continue
+        welfare, vol, oc, witness = got
+        records.append(SelectionRecord(
+            accepted_blocks=tuple(b for b, on in zip(block_ids, y) if on),
+            accepted_mic=tuple(c for c, on in zip(mic_ids, u) if on),
+            welfare=welfare,
+            max_volume=vol,
+            min_opportunity_cost=oc,
+        ))
+        witnesses.append(witness)
     if not records:
         raise RuntimeError("no admissible selection; the all-rejected one must exist")
 
@@ -459,7 +312,7 @@ def enumerate_selections(
         ),
     }
     return SelectionOracleResult(
-        rules=rules, n_selections=2 ** en.nb, records=tuple(records), optima=optima
+        rules=rules, n_selections=2 ** nb, records=tuple(records), optima=optima
     )
 
 

@@ -119,7 +119,10 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main([]) == 1
 
 
-@pytest.mark.parametrize("damage", ["block powers list", "atc capacity null", "bid not object", "period int"])
+@pytest.mark.parametrize(
+    "damage",
+    ["block powers list", "atc capacity null", "bid not object", "period int", "network row object"],
+)
 def test_malformed_instance_reports_error(toy_tmp, tmp_path, capsys, damage):
     if damage == "atc capacity null":
         assert cli.main(["generate", "--seed", "2", "--out", str(toy_tmp)]) == 0
@@ -131,10 +134,24 @@ def test_malformed_instance_reports_error(toy_tmp, tmp_path, capsys, damage):
         doc["network"]["atc"]["lines"][0]["capacity"]["T1"] = None
     elif damage == "bid not object":
         doc["hourly_bids"][0] = 7
-    else:
+    elif damage == "period int":
         doc["network"]["periods"] = ["T1", 7]
+    else:
+        doc["network"]["abstract"]["rows"] = [[{}]]
     toy_tmp.write_text(json.dumps(doc))
     assert cli.main(["clear", str(toy_tmp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_solution_reports_error(toy_tmp, tmp_path, capsys):
+    assert cli.main(["clear", str(toy_tmp)]) == 0
+    capsys.readouterr()
+    sol_path = tmp_path / "toy.solution.json"
+    doc = json.loads(sol_path.read_text())
+    doc["acceptance"]["hourly"]["A"] = {}
+    sol_path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(toy_tmp), str(sol_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

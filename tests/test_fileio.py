@@ -28,7 +28,7 @@ from damclear.model import (
 )
 from damclear.verify import verify_equilibrium
 
-from conftest import make_toy
+from conftest import make_mic, make_toy
 
 
 def doc_of(instance):
@@ -316,6 +316,12 @@ def test_parse_network_errors():
     with pytest.raises(FileFormatError, match="labels must be strings"):
         parse_instance(json.dumps(doc))
 
+    for rows in ([[{}]], [[1.0], [1.0, 2.0]]):
+        doc = doc_of(toy)
+        doc["network"]["abstract"]["rows"] = rows
+        with pytest.raises(FileFormatError, match="'rows'"):
+            parse_instance(json.dumps(doc))
+
 
 def test_abstract_capacity_count_mismatch():
     toy = make_toy()
@@ -382,3 +388,20 @@ def test_read_solution_errors(tmp_path):
     del doc["acceptance"]["mic_suborders"]
     with pytest.raises(FileFormatError, match="mic_suborders"):
         read_solution(dump(doc), toy)
+
+    doc = json.loads(json.dumps(good))
+    doc["acceptance"]["hourly"]["A"] = {}
+    with pytest.raises(FileFormatError, match="acceptance.hourly"):
+        read_solution(dump(doc), toy)
+
+    doc = json.loads(json.dumps(good))
+    doc["duals"]["s_hourly"] = [{}] * len(doc["duals"]["s_hourly"])
+    with pytest.raises(FileFormatError, match="s_hourly"):
+        read_solution(dump(doc), toy)
+
+    mic = make_mic(1000.0)
+    write_solution(mic, clear(mic, ClearingRequest()), p)
+    doc = json.loads(p.read_text())
+    doc["acceptance"]["mic_suborders"]["G"] = 1.0
+    with pytest.raises(FileFormatError, match="mic_suborders for 'G'"):
+        read_solution(dump(doc), mic)
