@@ -2,21 +2,26 @@
 
 Everything downstream talks to a backend through solve_lp / solve_mip /
 resolve_duals and SolveOutcome; the bundled implementation sits on scipy's
-HiGHS bindings (linprog for LPs with duals, milp for the integer models).
+HiGHS bindings: linprog for LPs with duals, and one HiGHS object per MIP
+solve (scipy.optimize._highspy) for the integer models.
 The registry plus the DAMCLEAR_BACKEND environment variable allow swapping
 in another implementation without touching callers.
 
 Dual values are reported in the model's own sense: for a maximization the
 dual of a <= row is nonnegative and the dual of a balance row is the price.
 
-scipy exposes no native MIP-start interface, so warm starts are honored at
-this layer: the point is validated against the model, an objective-cutoff
-row at the warm value (minus a relative slack) is added, and the warm point
-is returned whenever the solver cannot beat it. If the cutoff renders the
-model infeasible the warm point is optimal to tolerance and is returned as
-such. A kept warm point carries the solver's dual bound; scipy reports
-none when the search found no incumbent, and the bound then comes from one
-solve of the same model's LP relaxation (no cutoff, no time limit).
+Warm starts are validated against the model in numpy and then handed to
+HiGHS as its incumbent (setSolution), so a start that already meets the
+gap target is certified by the root bound instead of being searched for
+again. When the solver returns nothing better than the start (it
+accepted the start, or rejected it and found nothing), the start itself
+is returned. A kept start carries the solver's dual bound; when HiGHS
+reports none (a zero time limit leaves it at infinity), the bound comes
+from one solve of the same model's LP relaxation (no time limit).
+
+HiGHS prints a few MIP messages with a raw printf that ignores its output
+flag; solve_mip captures fd 1 around the solve and counts them in the
+outcome's message.
 
 Both solves read the rows through MilpModel.constraint_matrix(); linprog
 gets them split by sense into equalities and <=-oriented rows.
@@ -24,20 +29,22 @@ gets them split by sense into equalities and <=-oriented rows.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import tempfile
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy import optimize as sciopt
-from scipy.sparse import csr_matrix, diags, vstack
+from scipy.optimize._highspy import _core as _highspy
+from scipy.sparse import diags
 
 from .milp import MilpModel
 
 _WS_VALIDATION_TOL = 1e-5
-_WS_CUTOFF_REL = 1e-6
+_STATUS = _highspy.HighsModelStatus
 
 
 class BackendError(RuntimeError):
@@ -81,9 +88,11 @@ class SolveOutcome:
     row_duals / lower_duals / upper_duals are present on optimal LP solves
     only, aligned with model rows / columns, oriented to the model's sense
     (see module docstring). best_bound is the proven bound in the model's
-    sense; mip_gap is HiGHS's relative gap at termination. For a kept warm
-    point the bound is the solver's or, when the solver gives none, the
-    objective of one LP-relaxation solve of the same model, and mip_gap is
+    sense and mip_gap HiGHS's relative gap at termination; a MIP solve of
+    a model without integer columns reports neither. used_warm_start
+    means the returned point is the warm start; its bound is the solver's
+    or, when the solver gives none, the objective of one LP-relaxation
+    solve of the same model, and its mip_gap is
     |best_bound - objective| / (1 + |objective|).
     """
 
@@ -149,6 +158,86 @@ def _resolve_warm_vector(model: MilpModel, options: SolveOptions) -> Optional[np
         return base
     ws = np.asarray(ws, dtype=float)
     return ws if ws.shape == (model.n_cols,) else None
+
+
+def _highs_options(options: SolveOptions):
+    """HiGHS options for one MIP solve, as (name, value) pairs."""
+    pairs = [
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("presolve", "on" if options.presolve else "off"),
+        ("mip_rel_gap", float(options.relative_gap_target)),
+        ("mip_feasibility_tolerance", float(options.integer_feasibility_tol)),
+        ("primal_feasibility_tolerance", float(options.lp_feasibility_tol)),
+    ]
+    if options.absolute_gap_target is not None:
+        pairs.append(("mip_abs_gap", float(options.absolute_gap_target)))
+    if options.time_limit is not None:
+        pairs.append(("time_limit", float(options.time_limit)))
+    if options.node_limit is not None:
+        pairs.append(("mip_max_nodes", int(options.node_limit)))
+    if options.thread_count is not None:
+        pairs.append(("threads", int(options.thread_count)))
+    if options.random_seed is not None:
+        pairs.append(("random_seed", int(options.random_seed)))
+    return pairs
+
+
+def _highs_lp(model: MilpModel):
+    """The model as a HighsLp: CSC rows, interval row bounds, own sense."""
+    A = model.constraint_matrix().tocsc()
+    lo, hi = model.row_bounds()
+    lp = _highspy.HighsLp()
+    lp.num_col_ = model.n_cols
+    lp.num_row_ = model.n_rows
+    sense = _highspy.ObjSense
+    lp.sense_ = sense.kMaximize if model.objective_sense == "max" else sense.kMinimize
+    lp.col_cost_ = model.objective
+    lp.col_lower_ = model.lb
+    lp.col_upper_ = model.ub
+    lp.row_lower_ = lo
+    lp.row_upper_ = hi
+    lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = model.n_cols
+    lp.a_matrix_.num_row_ = model.n_rows
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.integrality_ = [_highspy.HighsVarType(int(k)) for k in model.integrality]
+    return lp
+
+
+_LIBC = ctypes.CDLL(None)
+_LIBC.fflush.argtypes = [ctypes.c_void_p]
+_LIBC.fflush.restype = ctypes.c_int
+
+
+def _run_capturing_stdout(highs) -> int:
+    """highs.run() with fd 1 pointed at a temporary file; returns its line count.
+
+    HiGHS's MIP solver prints some messages (transformNewIntegerFeasibleSolution)
+    with a raw printf that ignores output_flag. They are counted here instead
+    of landing in the caller's stdout. fd 1 is process-wide, so solves must
+    not run concurrently in threads of one process.
+    """
+    with tempfile.TemporaryFile() as sink:
+        _LIBC.fflush(None)
+        saved = os.dup(1)
+        os.dup2(sink.fileno(), 1)
+        try:
+            highs.run()
+        finally:
+            _LIBC.fflush(None)
+            os.dup2(saved, 1)
+            os.close(saved)
+        sink.seek(0)
+        data = sink.read()
+    return data.count(b"\n") + (1 if data and not data.endswith(b"\n") else 0)
+
+
+def _finite(value) -> Optional[float]:
+    value = float(value)
+    return value if np.isfinite(value) else None
 
 
 class ScipyHighsBackend:
@@ -228,25 +317,20 @@ class ScipyHighsBackend:
                 ws = None
                 ws_note = "warm start rejected by validation; "
 
-        out = self._milp_once(model, options, cutoff=ws_obj)
-        if ws_obj is not None and out.status == "infeasible":
-            # cutoff excluded everything: warm point is optimal to tolerance
-            return replace(
-                out, status="optimal", objective=ws_obj, columns=ws.copy(),
-                best_bound=ws_obj, mip_gap=0.0, used_warm_start=True,
-                message=ws_note + "cutoff closed the search at the warm point",
-            )
+        out = self._run_highs(model, options, start=ws)
         if ws_obj is not None:
-            worse = out.objective is None or (
-                out.objective < ws_obj - 1e-12 * (1 + abs(ws_obj))
+            better = out.objective is not None and (
+                out.objective > ws_obj + 1e-12 * (1 + abs(ws_obj))
                 if model.objective_sense == "max"
-                else out.objective > ws_obj + 1e-12 * (1 + abs(ws_obj))
+                else out.objective < ws_obj - 1e-12 * (1 + abs(ws_obj))
             )
-            if worse and out.status in ("time_limit_no_solution", "feasible_gap", "optimal"):
+            if not better and out.status in ("time_limit_no_solution", "feasible_gap", "optimal"):
+                # the solver's incumbent is the start, or it rejected the
+                # start and found nothing better: keep the warm point
                 bound = out.best_bound
-                note = "kept warm point (solver had nothing better)"
+                note = "kept warm point"
                 if bound is None:
-                    # scipy reports no dual bound without an incumbent
+                    # no finite dual bound (for instance a zero time limit)
                     relax = self.solve_lp(model, replace(options, time_limit=None, warm_start=None))
                     if relax.status == "optimal":
                         bound = relax.objective
@@ -255,78 +339,61 @@ class ScipyHighsBackend:
                         note += f"; no bound (LP relaxation {relax.status})"
                 gap = None if bound is None else abs(bound - ws_obj) / (1 + abs(ws_obj))
                 return replace(
-                    out, status="feasible_gap", objective=ws_obj, columns=ws.copy(),
+                    out, status="optimal" if out.status == "optimal" else "feasible_gap",
+                    objective=ws_obj, columns=ws.copy(),
                     best_bound=bound, mip_gap=gap, used_warm_start=True,
-                    wall_time=time.perf_counter() - t0, message=ws_note + note,
+                    wall_time=time.perf_counter() - t0,
+                    message=ws_note + note + "; " + out.message,
                 )
         if ws_note:
             out = replace(out, message=ws_note + out.message)
         return out
 
-    def _milp_once(self, model: MilpModel, options: SolveOptions, cutoff=None) -> SolveOutcome:
+    def _run_highs(self, model: MilpModel, options: SolveOptions, start=None) -> SolveOutcome:
         t0 = time.perf_counter()
-        A = model.constraint_matrix()
-        lo, hi = model.row_bounds()
-        if cutoff is not None:
-            slack = _WS_CUTOFF_REL * (1 + abs(cutoff))
-            obj_row = csr_matrix(model.objective.reshape(1, -1))
-            A = vstack([A, obj_row], format="csr")
-            if model.objective_sense == "max":
-                lo = np.append(lo, cutoff - slack)
-                hi = np.append(hi, np.inf)
-            else:
-                lo = np.append(lo, -np.inf)
-                hi = np.append(hi, cutoff + slack)
-        c = model.objective if model.objective_sense == "min" else -model.objective
-        milp_opts = {
-            "presolve": options.presolve,
-            "mip_rel_gap": options.relative_gap_target,
-            "mip_feasibility_tolerance": options.integer_feasibility_tol,
-            "primal_feasibility_tolerance": options.lp_feasibility_tol,
-        }
-        if options.absolute_gap_target is not None:
-            milp_opts["mip_abs_gap"] = options.absolute_gap_target
-        if options.time_limit is not None:
-            milp_opts["time_limit"] = float(options.time_limit)
-        if options.node_limit is not None:
-            milp_opts["node_limit"] = options.node_limit
-        if options.thread_count is not None:
-            milp_opts["threads"] = options.thread_count
-        if options.random_seed is not None:
-            milp_opts["random_seed"] = options.random_seed
-        constraints = sciopt.LinearConstraint(A, lo, hi) if A.shape[0] else None
-        with warnings.catch_warnings():
-            # scipy warns when forwarding options it does not know to HiGHS
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = sciopt.milp(
-                c=c,
-                constraints=constraints,
-                integrality=model.integrality,
-                bounds=sciopt.Bounds(model.lb, model.ub),
-                options=milp_opts,
-            )
+        highs = _highspy._Highs()
+        for name, value in _highs_options(options):
+            if highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
+                raise BackendError(f"HiGHS rejected option {name}={value!r}")
+        if highs.passModel(_highs_lp(model)) != _highspy.HighsStatus.kOk:
+            raise BackendError("HiGHS rejected the model")
+        if start is not None:
+            # HiGHS may still reject the start; solve_mip then keeps it
+            # unless the search finds something better
+            sol = _highspy.HighsSolution()
+            sol.col_value = start
+            sol.value_valid = True
+            highs.setSolution(sol)
+        leaked = _run_capturing_stdout(highs)
+        status = highs.getModelStatus()
+        info = highs.getInfo()
         wall = time.perf_counter() - t0
-        sense_mult = 1.0 if model.objective_sense == "min" else -1.0
-        best_bound = (
-            sense_mult * res.mip_dual_bound
-            if getattr(res, "mip_dual_bound", None) is not None else None
+        message = highs.modelStatusToString(status)
+        if leaked:
+            message += f"; {leaked} line(s) of solver stdout captured"
+        if status == _STATUS.kInfeasible:
+            return SolveOutcome("infeasible", None, None, wall, message=message)
+        if status == _STATUS.kUnbounded:
+            return SolveOutcome("unbounded", None, None, wall, message=message)
+        # a binary-free model runs as an LP, whose MIP fields are placeholders
+        is_mip = bool(model.n_binary)
+        best_bound = _finite(info.mip_dual_bound) if is_mip else None
+        node_count = int(info.mip_node_count) if is_mip else None
+        has_x = status == _STATUS.kOptimal or (
+            is_mip and status in (_STATUS.kTimeLimit, _STATUS.kIterationLimit, _STATUS.kSolutionLimit)
+            and np.isfinite(info.objective_function_value)
         )
-        node_count = getattr(res, "mip_node_count", None)
-        if res.status == 2:
-            return SolveOutcome("infeasible", None, None, wall, message=res.message)
-        if res.status == 3:
-            return SolveOutcome("unbounded", None, None, wall, message=res.message)
-        if res.x is None:
+        if not has_x:
             return SolveOutcome(
                 "time_limit_no_solution", None, None, wall,
-                best_bound=best_bound, node_count=node_count, message=res.message,
+                best_bound=best_bound, node_count=node_count, message=message,
             )
-        obj = float(model.objective @ res.x)
-        gap = getattr(res, "mip_gap", None)
-        status = "optimal" if res.status == 0 else "feasible_gap"
+        x = np.array(highs.getSolution().col_value)
         return SolveOutcome(
-            status, obj, res.x, wall, best_bound=best_bound, mip_gap=gap,
-            node_count=node_count, message=res.message,
+            "optimal" if status == _STATUS.kOptimal else "feasible_gap",
+            float(model.objective @ x), x, wall, best_bound=best_bound,
+            mip_gap=_finite(info.mip_gap) if is_mip else None,
+            node_count=node_count, message=message,
         )
 
 

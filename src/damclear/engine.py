@@ -84,8 +84,9 @@ def _lp_options(request: ClearingRequest) -> be.SolveOptions:
 
 
 def _gap_of(outcome: be.SolveOutcome) -> float:
-    # inf means no bound could be proven: a kept warm start already carries
-    # the solver's bound or its LP-relaxation bound (see backend.solve_mip)
+    # inf means no bound was reported: a kept warm start carries the
+    # solver's bound or, without one, its LP-relaxation bound (see
+    # backend.solve_mip); a model without integer columns reports none
     if outcome.mip_gap is not None:
         return float(outcome.mip_gap)
     if outcome.best_bound is not None and outcome.objective is not None:
@@ -242,10 +243,12 @@ def staged_clear(
     (MIC bids dominate hardness, so settling them early prunes the tree).
     volume and min_opportunity_cost: stage 1 maximizes welfare, stage 2
     re-optimizes the request's objective as an LP over the welfare
-    selection. Stage 3 always warm-starts the full model with the stage-2
-    point and falls back to it when it finds nothing. A trace dict, when
-    given, receives the per-stage objective values (stage 1 of volume and
-    min_opportunity_cost is in welfare units).
+    selection. Stage 3 always solves the full model with the stage-2 point
+    as the solver's incumbent, so it stops at the root when that point
+    already meets the gap target, and falls back to it when it finds
+    nothing better. A trace dict, when given, receives the per-stage
+    objective values (stage 1 of volume and min_opportunity_cost is in
+    welfare units).
     """
     validate_instance(instance)
     model = build_request_model(instance, request)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,9 +107,12 @@ def test_strong_duality_on_random_convex_lps():
             + out.upper_duals @ ub
         )
         assert dual_value == pytest.approx(out.objective, abs=1e-6 * (1 + abs(out.objective)))
-        # and the MIP path agrees with the LP on a binary-free model
+        # and the MIP path agrees with the LP on a binary-free model,
+        # without reporting HiGHS's MIP placeholders (bound 0, gap inf)
         mip = bk.solve_mip(m, bk.SolveOptions())
         assert mip.objective == pytest.approx(out.objective, abs=1e-6 * (1 + abs(out.objective)))
+        assert mip.best_bound is None or mip.best_bound == pytest.approx(mip.objective)
+        assert mip.mip_gap is None or mip.mip_gap == 0.0
 
 
 def _assert_kept_point_bounded(out):
@@ -159,6 +164,54 @@ def test_model_warm_start_slot_is_used():
     out = bk.solve_mip(m2, bk.SolveOptions(time_limit=0.0))
     assert out.status == "feasible_gap" and out.used_warm_start
     _assert_kept_point_bounded(out)
+
+
+def test_warm_start_within_gap_target_is_certified_by_the_solver(monkeypatch):
+    inst = generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2))
+    m = build_request_model(inst, ClearingRequest())
+    base = bk.solve_mip(m, bk.SolveOptions())
+    lp_calls = []
+    real_solve_lp = bk.ScipyHighsBackend.solve_lp
+
+    def counted_solve_lp(self, *args, **kwargs):
+        lp_calls.append(args)
+        return real_solve_lp(self, *args, **kwargs)
+
+    monkeypatch.setattr(bk.ScipyHighsBackend, "solve_lp", counted_solve_lp)
+    out = bk.solve_mip(m, bk.SolveOptions(warm_start=base.columns))
+    assert out.status == "optimal"
+    assert out.used_warm_start
+    np.testing.assert_array_equal(out.columns, base.columns)
+    assert out.best_bound is not None and np.isfinite(out.best_bound)
+    assert out.best_bound >= out.objective - 1e-9 * (1 + abs(out.objective))
+    assert out.node_count is not None
+    assert lp_calls == []  # the bound is HiGHS's, not the LP relaxation's
+
+
+def test_solver_stdout_is_captured(capfd):
+    # HiGHS printf's transformNewIntegerFeasibleSolution while solving this model
+    inst = generate(GeneratorConfig(seed=6, n_blocks=6, n_mic=0))
+    m = build_request_model(inst, ClearingRequest(objective="min_opportunity_cost", rules="umfs"))
+    out = bk.solve_mip(m, bk.SolveOptions())
+    assert out.status == "optimal"
+    assert capfd.readouterr().out == ""
+    assert re.search(r"\b[1-9]\d* line\(s\) of solver stdout captured", out.message)
+
+
+def test_highs_private_api_is_present():
+    # the backend drives these private scipy bindings directly
+    from scipy.optimize._highspy import _core
+
+    for name in ("HighsLp", "HighsSolution", "HighsVarType", "HighsModelStatus",
+                 "HighsStatus", "ObjSense", "MatrixFormat"):
+        assert hasattr(_core, name), name
+    highs = _core._Highs()
+    for name in ("passModel", "setOptionValue", "setSolution", "run",
+                 "getModelStatus", "modelStatusToString", "getInfo", "getSolution"):
+        assert callable(getattr(highs, name, None)), name
+    info = highs.getInfo()
+    for name in ("mip_dual_bound", "mip_gap", "mip_node_count", "objective_function_value"):
+        assert hasattr(info, name), name
 
 
 def test_registry_and_env_selection(monkeypatch):
