@@ -19,6 +19,13 @@ is returned. A kept start carries the solver's dual bound; when HiGHS
 reports none (a zero time limit leaves it at infinity), the bound comes
 from one solve of the same model's LP relaxation (no time limit).
 
+LpSession keeps one model's LP relaxation on a persistent HiGHS object:
+it solves the relaxation once, then checks acceptance selections by
+changing only the y/u column bounds and re-running from the previous
+basis. Its relaxation objective is HiGHS's LP optimum at the options'
+LP tolerance, which is what the engine uses as the bound of a rounded
+start.
+
 HiGHS prints a few MIP messages with a raw printf that ignores its output
 flag; solve_mip captures fd 1 around the solve and counts them in the
 outcome's message.
@@ -238,6 +245,81 @@ def _run_capturing_stdout(highs) -> int:
 def _finite(value) -> Optional[float]:
     value = float(value)
     return value if np.isfinite(value) else None
+
+
+class LpSession:
+    """A model's LP relaxation on one persistent HiGHS object.
+
+    The constructor solves the relaxation once (integrality cleared, the
+    options' LP tolerance, presolve as requested) into ``relaxation``.
+    Each fix() then changes only the y/u column bounds and re-runs with
+    presolve off, so HiGHS starts from the previous basis. The options'
+    time_limit caps the session as a whole: once it has run out, a solve
+    returns time_limit_no_solution without running. ``lp_count`` counts
+    the LPs run.
+    """
+
+    def __init__(self, model: MilpModel, options: SolveOptions = SolveOptions()):
+        if model.objective is None:
+            raise BackendError("model has no objective")
+        self._t0 = time.perf_counter()
+        self._limit = options.time_limit
+        self._model = model
+        ys, us = model.roles["y"], model.roles["u"]
+        self._cols = np.r_[np.arange(ys.start, ys.stop), np.arange(us.start, us.stop)].astype(np.int32)
+        self._n_y = ys.stop - ys.start
+        self.lp_count = 0
+        self._highs = _highspy._Highs()
+        for name, value in (
+            ("output_flag", False),
+            ("log_to_console", False),
+            ("presolve", "on" if options.presolve else "off"),
+            ("primal_feasibility_tolerance", float(options.lp_feasibility_tol)),
+            ("dual_feasibility_tolerance", float(options.lp_feasibility_tol)),
+        ):
+            self._set(name, value)
+        lp = _highs_lp(model)
+        lp.integrality_ = []
+        if self._highs.passModel(lp) != _highspy.HighsStatus.kOk:
+            raise BackendError("HiGHS rejected the model")
+        self.relaxation = self._run()
+        self._set("presolve", "off")
+
+    def _set(self, name, value):
+        if self._highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
+            raise BackendError(f"HiGHS rejected option {name}={value!r}")
+
+    def fix(self, y: np.ndarray, u: np.ndarray) -> SolveOutcome:
+        """Solve the LP with the acceptance binaries fixed to the rounded y, u."""
+        y = np.round(np.asarray(y, dtype=float).reshape(-1))
+        u = np.round(np.asarray(u, dtype=float).reshape(-1))
+        if y.size != self._n_y or y.size + u.size != self._cols.size:
+            raise BackendError("selection shape does not match the model")
+        sel = np.r_[y, u]
+        self._highs.changeColsBounds(sel.size, self._cols, sel, sel)
+        return self._run()
+
+    def _run(self) -> SolveOutcome:
+        t0 = time.perf_counter()
+        if self._limit is not None:
+            left = self._limit - (t0 - self._t0)
+            if left <= 0:
+                return SolveOutcome("time_limit_no_solution", None, None, 0.0, message="session time limit spent")
+            self._set("time_limit", left)
+        self._highs.run()
+        self.lp_count += 1
+        status = self._highs.getModelStatus()
+        wall = time.perf_counter() - t0
+        message = self._highs.modelStatusToString(status)
+        if status == _STATUS.kInfeasible:
+            return SolveOutcome("infeasible", None, None, wall, message=message)
+        if status == _STATUS.kUnbounded:
+            return SolveOutcome("unbounded", None, None, wall, message=message)
+        if status != _STATUS.kOptimal:
+            return SolveOutcome("time_limit_no_solution", None, None, wall, message=message)
+        x = np.array(self._highs.getSolution().col_value)
+        obj = float(self._model.objective @ x)
+        return SolveOutcome("optimal", obj, x, wall, best_bound=obj, mip_gap=0.0, message=message)
 
 
 class ScipyHighsBackend:

@@ -1,9 +1,11 @@
 """Clearing pipelines.
 
 clear() is the single-shot path: build the primal-dual model for the
-requested rules and objective, solve the MILP, then re-solve the LP with
-the winning selection fixed to obtain clean prices and surpluses (duals
-are never trusted from the integer search). staged_clear() is the staged
+requested rules and objective, round its LP relaxation into an admissible
+selection, solve the MILP from that start unless the relaxation bound
+already certifies it, then re-solve the LP with the winning selection
+fixed to obtain clean prices and surpluses (duals are never trusted from
+the integer search or the rounding). staged_clear() is the staged
 variant for hard instances: two objective-specific stages on the request's
 model, then one warm-started solve of the full model; each stage can only
 improve on its predecessor.
@@ -16,6 +18,8 @@ solved prices. Pinned coordinates keep their solver values.
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -182,11 +186,104 @@ def _finalize(
     )
 
 
+_START_LPS = 16  # LPs the relaxation-rounding start may run, the relaxation included
+_FULL_ROUNDINGS = 3  # up to this many fractional binaries, every rounding is tried
+
+
+def _mic_margins(model: milp.MilpModel, columns: np.ndarray) -> np.ndarray:
+    """Each MIC bid's income minus its costs at the point's prices, with
+    its suborders dispatched per unit of the bid's acceptance."""
+    idx = InstanceIndex(model.instance)
+    r = model.roles
+    u = columns[r["u"]][idx.sub_owner]
+    x = np.clip(np.divide(columns[r["x_mic"]], u, out=np.zeros_like(u), where=u > 0), 0.0, 1.0)
+    return idx.mic_income(x, columns[r["pi"]]) - idx.mic_fixed - idx.mic_variable * idx.mic_sold_volume(x)
+
+
+def _roundings(k: int):
+    """Which of k fractional binaries to round up: every rounding for a few
+    (floor first), else the floor and then each single flip."""
+    if k <= _FULL_ROUNDINGS:
+        return [np.array(bits, dtype=bool) for bits in itertools.product((False, True), repeat=k)]
+    return [np.zeros(k, dtype=bool)] + [np.arange(k) == j for j in range(k)]
+
+
+def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> Optional[be.SolveOutcome]:
+    """The best admissible selection rounded from the LP relaxation.
+
+    One LpSession solves the relaxation and checks each candidate selection
+    by fixing its binaries. Integral binaries keep their value; fractional
+    ones are rounded (see _roundings). MIC bids whose minimum-income margin
+    is negative at the relaxation prices are rejected; while a selection
+    stays inadmissible, the accepted MIC bid with the weakest margin is
+    dropped too. The search stops after _START_LPS LPs or the request's time
+    limit. The outcome carries the relaxation objective as best_bound and
+    is 'optimal' when it is within relative_gap_target of that bound,
+    'feasible_gap' otherwise; None when nothing admissible was found.
+    """
+    if not model.n_binary:
+        return None
+    session = be.LpSession(model, request.solve_options)
+    relax = session.relaxation
+    if relax.status != "optimal":
+        return None
+    ys, us = model.roles["y"], model.roles["u"]
+    n_y = ys.stop - ys.start
+    z = np.r_[relax.columns[ys], relax.columns[us]]
+    frac = np.flatnonzero(np.abs(z - np.round(z)) > request.solve_options.integer_feasibility_tol)
+    floor = np.round(z)
+    floor[frac] = 0.0
+    margin = _mic_margins(model, relax.columns)
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    best, tried = None, set()
+    for up in _roundings(frac.size):
+        sel = floor.copy()
+        sel[frac[up]] = 1.0
+        u = sel[n_y:]  # a view: drops write through to sel
+        u[margin < 0] = 0.0
+        while session.lp_count < _START_LPS and sel.tobytes() not in tried:
+            tried.add(sel.tobytes())
+            out = session.fix(sel[:n_y], u)
+            if out.status == "optimal":
+                if best is None or sign * out.objective > sign * best.objective:
+                    best = out
+                break
+            accepted = np.flatnonzero(u > 0.5)
+            if out.status != "infeasible" or not accepted.size:
+                break
+            u[accepted[np.argmin(margin[accepted])]] = 0.0
+    if best is None:
+        return None
+    bound = relax.objective
+    gap = abs(bound - best.objective) / (1.0 + abs(best.objective))
+    certified = gap <= request.solve_options.relative_gap_target
+    return replace(
+        best, status="optimal" if certified else "feasible_gap",
+        best_bound=bound, mip_gap=gap, used_warm_start=True,
+        message=f"LP-relaxation rounding, {session.lp_count} LPs, "
+        + ("certified by the relaxation bound" if certified else "handed to the MIP as its start"),
+    )
+
+
 def clear(instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None) -> ClearingSolution:
-    """Single-shot clearing under the requested objective and rules."""
+    """Single-shot clearing under the requested objective and rules.
+
+    A model with binaries first gets a start rounded from its LP relaxation
+    (_relaxation_start). A start within relative_gap_target of the
+    relaxation bound is certified and the MIP is skipped; otherwise the
+    start becomes the MIP's warm start and the MIP gets what is left of the
+    time limit. Either way the prices come from _finalize's resolve.
+    """
     validate_instance(instance)
     model = build_request_model(instance, request)
-    outcome = be.solve_mip(model, request.solve_options, backend=backend)
+    t0 = time.perf_counter()
+    outcome = _relaxation_start(model, request)
+    if outcome is None or outcome.status != "optimal":
+        if outcome is not None:
+            model.warm_start = outcome.columns
+        limit = request.solve_options.time_limit
+        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
+        outcome = be.solve_mip(model, _mip_options(request, left), backend=backend)
     return _finalize(instance, model, outcome, request, backend)
 
 

@@ -5,7 +5,8 @@ CLI, a hundred-instance enumeration sweep over every objective and rule
 set, the nonlinear income condition, rule-set welfare dominance with the
 decomposition identity, the binary budget of the compiled models, the
 verifier's discrimination on doctored solutions, a staged full-scale run,
-and the existence of objective trade-offs.
+and the existence of objective trade-offs. A ninth check runs the same
+full-scale day through the single-shot clear.
 """
 
 import json
@@ -180,13 +181,9 @@ def test_criterion_6_verifier_flags_doctored_solutions():
         )
 
 
-@pytest.mark.slow
-def test_criterion_7_scale_smoke():
-    """A full-size day (5088 hourly bids, 50 blocks, 20 MIC bids, 4
-    locations, 24 periods) clears through the staged heuristic inside ten
-    minutes at a 0.2% gap, with nondecreasing stage objectives and a
-    verifying solution."""
-    config = GeneratorConfig(
+def _full_scale_day():
+    """4 locations x 24 periods: 5088 hourly bids, 50 blocks, 20 MIC bids."""
+    return generate(GeneratorConfig(
         seed=42,
         locations=("N1", "N2", "N3", "N4"),
         periods=tuple(f"T{h}" for h in range(1, 25)),
@@ -195,8 +192,16 @@ def test_criterion_7_scale_smoke():
         n_blocks=50,
         n_mic=20,
         max_mic_suborders=24,
-    )
-    instance = generate(config)
+    ))
+
+
+@pytest.mark.slow
+def test_criterion_7_scale_smoke():
+    """A full-size day (5088 hourly bids, 50 blocks, 20 MIC bids, 4
+    locations, 24 periods) clears through the staged heuristic inside ten
+    minutes at a 0.2% gap, with nondecreasing stage objectives and a
+    verifying solution."""
+    instance = _full_scale_day()
     assert len(instance.hourly_bids) == 5088
     assert len(instance.block_bids) == 50
     assert len(instance.mic_bids) == 20
@@ -221,6 +226,24 @@ def test_criterion_7_scale_smoke():
     assert stages[1] <= stages[2] + slack
     assert solution.welfare == pytest.approx(stages[2], rel=1e-6)
 
+    rep = verify_equilibrium(instance, solution, rules="pcr")
+    assert rep.overall_pass, rep.failing_families()
+    assert verify_mic_income(instance, solution).passed
+
+
+@pytest.mark.slow
+def test_plain_clear_on_full_scale_day():
+    """The single-shot clear reaches the 0.2% gap on the full-size day and
+    its solution verifies."""
+    instance = _full_scale_day()
+    request = ClearingRequest(
+        objective="welfare",
+        rules="pcr",
+        solve_options=SolveOptions(relative_gap_target=0.002),
+    )
+    solution = clear(instance, request)
+    assert solution.solver_status == "optimal"
+    assert solution.solver_gap <= 0.002
     rep = verify_equilibrium(instance, solution, rules="pcr")
     assert rep.overall_pass, rep.failing_families()
     assert verify_mic_income(instance, solution).passed

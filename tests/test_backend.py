@@ -287,3 +287,68 @@ def test_split_rows_matches_row_by_row_reference():
                 for k in (1, 4, 6):  # b_eq, b_ub, ub_sign
                     np.testing.assert_array_equal(got[k], ref[k], err_msg=str(case))
                 assert list(got[2]) == ref[2] and list(got[5]) == ref[5], case
+
+
+def _session_models():
+    inst = generate(GeneratorConfig(seed=5, n_blocks=4, n_mic=2))
+    for rules in ("pcr", "umfs"):
+        yield rules, build_request_model(inst, ClearingRequest(rules=rules))
+
+
+def _random_selections(model, count, seed):
+    rng = np.random.default_rng(seed)
+    ny = model.roles["y"].stop - model.roles["y"].start
+    nu = model.roles["u"].stop - model.roles["u"].start
+    return [(rng.integers(0, 2, ny).astype(float), rng.integers(0, 2, nu).astype(float))
+            for _ in range(count)]
+
+
+def test_lp_session_relaxation_matches_solve_lp():
+    for rules, m in _session_models():
+        free = m.copy()
+        free.integrality = np.zeros_like(free.integrality)
+        want = bk.solve_lp(free).objective
+        session = bk.LpSession(m)
+        assert session.relaxation.status == "optimal", rules
+        assert session.lp_count == 1
+        got = session.relaxation.objective
+        assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (rules, got, want)
+
+
+def test_lp_session_fix_agrees_with_resolve_duals():
+    for rules, m in _session_models():
+        session = bk.LpSession(m)
+        verdicts = set()
+        for y, u in _random_selections(m, 20, seed=len(rules)):
+            got = session.fix(y, u)
+            want = bk.resolve_duals(m, y, u)
+            case = (rules, y, u)
+            assert got.status == want.status, case
+            verdicts.add(got.status)
+            if want.status == "optimal":
+                assert abs(got.objective - want.objective) <= 1e-9 * (1.0 + abs(want.objective)), case
+        assert verdicts == {"optimal", "infeasible"}, rules
+
+
+def test_lp_session_verdict_does_not_depend_on_order():
+    for rules, m in _session_models():
+        selections = _random_selections(m, 20, seed=7)
+        session = bk.LpSession(m)
+        forward = [session.fix(y, u) for y, u in selections]
+        session = bk.LpSession(m)
+        backward = [session.fix(y, u) for y, u in reversed(selections)][::-1]
+        for a, b in zip(forward, backward):
+            assert a.status == b.status, rules
+            if a.status == "optimal":
+                assert abs(a.objective - b.objective) <= 1e-9 * (1.0 + abs(a.objective)), rules
+
+
+def test_lp_session_spent_time_limit_runs_nothing():
+    m = build_request_model(generate(GeneratorConfig(seed=5, n_blocks=4, n_mic=2)), ClearingRequest())
+    session = bk.LpSession(m, bk.SolveOptions(time_limit=0.0))
+    assert session.relaxation.status == "time_limit_no_solution"
+    assert not session.relaxation.has_solution
+    assert session.fix(np.zeros(4), np.zeros(2)).status == "time_limit_no_solution"
+    assert session.lp_count == 0
+    with pytest.raises(bk.BackendError):
+        session.fix(np.zeros(3), np.zeros(2))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from damclear import backend as be
+from damclear import engine
 from damclear.engine import (
     ClearingError,
     ClearingRequest,
+    build_request_model,
     clear,
     compare_pab_models,
     staged_clear,
@@ -189,3 +192,80 @@ def test_solution_reports_gap_and_status():
     sol = clear(make_toy(), ClearingRequest())
     assert sol.solver_status == "optimal"
     assert sol.solver_gap <= 1e-6
+
+
+def _count_mip_calls(monkeypatch):
+    """Record the warm start of every MIP solve that clear() makes."""
+    calls = []
+    real = be.ScipyHighsBackend.solve_mip
+
+    def counted(self, model, options=be.SolveOptions()):
+        calls.append(None if model.warm_start is None else model.warm_start.copy())
+        return real(self, model, options)
+
+    monkeypatch.setattr(be.ScipyHighsBackend, "solve_mip", counted)
+    return calls
+
+
+def test_certified_relaxation_start_skips_the_mip(monkeypatch):
+    inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
+    calls = _count_mip_calls(monkeypatch)
+    for rules in ("pcr", "umfs"):
+        sol = clear(inst, ClearingRequest(rules=rules))
+        assert sol.solver_status == "optimal"
+        assert sol.solver_gap <= ClearingRequest().solve_options.relative_gap_target
+        assert verify_equilibrium(inst, sol, rules=rules).overall_pass
+    assert calls == []
+
+
+def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch):
+    inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
+    request = ClearingRequest()
+    start = engine._relaxation_start(build_request_model(inst, request), request)
+    assert start.status == "feasible_gap" and start.used_warm_start
+    assert start.best_bound >= start.objective
+    calls = _count_mip_calls(monkeypatch)
+    sol = clear(inst, request)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], start.columns)
+    assert sol.welfare >= start.objective - 1e-9 * (1.0 + abs(start.objective))
+    assert verify_equilibrium(inst, sol).overall_pass
+
+
+def test_binary_free_model_builds_no_lp_session(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LpSession built for a model without binaries")
+
+    monkeypatch.setattr(be, "LpSession", refuse)
+    inst = generate(GeneratorConfig(seed=3, n_blocks=0, n_mic=0))
+    sol = clear(inst, ClearingRequest())
+    assert sol.solver_status == "optimal"
+    assert verify_equilibrium(inst, sol).overall_pass
+
+
+def test_spent_time_limit_falls_through_to_the_mip(monkeypatch):
+    # no relaxation LP runs, so the MIP is called as before, without a start
+    inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
+    calls = _count_mip_calls(monkeypatch)
+    with pytest.raises(ClearingError, match="time_limit_no_solution"):
+        clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=0.0)))
+    assert calls == [None]
+
+
+def test_clear_matches_mip_only_reference_on_seeded_instances():
+    value = {
+        "welfare": lambda s: s.welfare,
+        "volume": lambda s: s.traded_volume,
+        "min_opportunity_cost": lambda s: s.total_opportunity_cost,
+    }
+    for seed in range(1, 21):
+        inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+        for rules in ("pcr", "umfs"):
+            for objective, get in value.items():
+                request = ClearingRequest(objective=objective, rules=rules)
+                model = build_request_model(inst, request)
+                outcome = be.solve_mip(model, request.solve_options)
+                want = get(engine._finalize(inst, model, outcome, request, None))
+                got = get(clear(inst, request))
+                case = (seed, rules, objective)
+                assert abs(got - want) <= 1e-6 * (1.0 + abs(want)), (case, got, want)
