@@ -2,13 +2,13 @@
 
 Everything downstream talks to a backend through solve_lp / solve_mip /
 resolve_duals and SolveOutcome; the bundled implementation sits on scipy's
-HiGHS bindings: linprog for LPs with duals, and one HiGHS object per MIP
-solve (scipy.optimize._highspy) for the integer models.
+own HiGHS bindings (scipy.optimize._highspy): one HiGHS object per MIP
+solve, and one LpSession per LP solve.
 The registry plus the DAMCLEAR_BACKEND environment variable allow swapping
 in another implementation without touching callers.
 
-Dual values are reported in the model's own sense: for a maximization the
-dual of a <= row is nonnegative and the dual of a balance row is the price.
+Outcomes carry no solver duals: prices, surpluses and compensations are
+columns of the primal-dual model, so an LP solve returns them in columns.
 
 Warm starts are validated against the model in numpy and then handed to
 HiGHS as its incumbent (setSolution), so a start that already meets the
@@ -24,14 +24,14 @@ it solves the relaxation once, then checks acceptance selections by
 changing only the y/u column bounds and re-running from the previous
 basis. Its relaxation objective is HiGHS's LP optimum at the options'
 LP tolerance, which is what the engine uses as the bound of a rounded
-start.
+start. solve_lp runs a one-shot session and returns its relaxation.
 
 HiGHS prints a few MIP messages with a raw printf that ignores its output
 flag; solve_mip captures fd 1 around the solve and counts them in the
 outcome's message.
 
-Both solves read the rows through MilpModel.constraint_matrix(); linprog
-gets them split by sense into equalities and <=-oriented rows.
+Every solve hands HiGHS the rows of MilpModel.constraint_matrix() with
+their interval bounds from MilpModel.row_bounds().
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sciopt
 from scipy.optimize._highspy import _core as _highspy
-from scipy.sparse import diags
 
 from .milp import MilpModel
 
@@ -92,14 +90,13 @@ class SolveOptions:
 class SolveOutcome:
     """Result of one solve.
 
-    row_duals / lower_duals / upper_duals are present on optimal LP solves
-    only, aligned with model rows / columns, oriented to the model's sense
-    (see module docstring). best_bound is the proven bound in the model's
-    sense and mip_gap HiGHS's relative gap at termination; a MIP solve of
-    a model without integer columns reports neither. used_warm_start
-    means the returned point is the warm start; its bound is the solver's
-    or, when the solver gives none, the objective of one LP-relaxation
-    solve of the same model, and its mip_gap is
+    columns is the primal point, aligned with the model's columns.
+    best_bound is the proven bound in the model's sense and mip_gap HiGHS's
+    relative gap at termination (an optimal LP reports its objective and
+    0); a MIP solve of a model without integer columns reports neither.
+    used_warm_start means the returned point is the warm start; its bound
+    is the solver's or, when the solver gives none, the objective of one
+    LP-relaxation solve of the same model, and its mip_gap is
     |best_bound - objective| / (1 + |objective|).
     """
 
@@ -110,9 +107,6 @@ class SolveOutcome:
     best_bound: Optional[float] = None
     mip_gap: Optional[float] = None
     node_count: Optional[int] = None
-    row_duals: Optional[np.ndarray] = None
-    lower_duals: Optional[np.ndarray] = None
-    upper_duals: Optional[np.ndarray] = None
     used_warm_start: bool = False
     message: str = ""
 
@@ -121,34 +115,15 @@ class SolveOutcome:
         return self.columns is not None
 
 
-def _split_rows(model: MilpModel):
-    """Constraint matrix split for linprog: equalities and <=-oriented rows.
-
-    Returns (A_eq, b_eq, eq_rows, A_ub, b_ub, ub_rows, ub_sign) where the
-    row index arrays keep stored order and ub_sign records the -1 applied
-    to '>' rows.
-    """
-    sense = np.asarray(model.row_sense)
-    sign = np.where(sense == ">", -1.0, 1.0)
-    A = diags(sign) @ model.constraint_matrix()
-    b = sign * np.asarray(model.row_rhs, dtype=float)
-    eq_rows = np.flatnonzero(sense == "=")
-    ub_rows = np.flatnonzero(sense != "=")
-    return (
-        A[eq_rows] if eq_rows.size else None, b[eq_rows], eq_rows,
-        A[ub_rows] if ub_rows.size else None, b[ub_rows], ub_rows, sign[ub_rows],
-    )
-
-
 def _empty_outcome(model: MilpModel, t0: float) -> SolveOutcome:
-    # a model with no columns is feasible iff every row accepts the origin
+    # a model with no columns is feasible iff every row accepts the origin;
+    # HiGHS reports such a model as Empty either way
     viol = model.point_violations(np.zeros(model.n_cols))
     if viol["max"] > 1e-9:
         return SolveOutcome("infeasible", None, None, time.perf_counter() - t0)
     return SolveOutcome(
         "optimal", 0.0, np.zeros(model.n_cols), time.perf_counter() - t0,
         best_bound=0.0, mip_gap=0.0,
-        row_duals=np.zeros(model.n_rows), lower_duals=np.zeros(0), upper_duals=np.zeros(0),
     )
 
 
@@ -214,6 +189,21 @@ def _highs_lp(model: MilpModel):
     return lp
 
 
+def _set_option(highs, name, value) -> None:
+    if highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
+        raise BackendError(f"HiGHS rejected option {name}={value!r}")
+
+
+def _new_highs(lp, options):
+    """A HiGHS object holding the HighsLp lp, with the given (name, value) options."""
+    highs = _highspy._Highs()
+    for name, value in options:
+        _set_option(highs, name, value)
+    if highs.passModel(lp) != _highspy.HighsStatus.kOk:
+        raise BackendError("HiGHS rejected the model")
+    return highs
+
+
 _LIBC = ctypes.CDLL(None)
 _LIBC.fflush.argtypes = [ctypes.c_void_p]
 _LIBC.fflush.restype = ctypes.c_int
@@ -269,25 +259,17 @@ class LpSession:
         self._cols = np.r_[np.arange(ys.start, ys.stop), np.arange(us.start, us.stop)].astype(np.int32)
         self._n_y = ys.stop - ys.start
         self.lp_count = 0
-        self._highs = _highspy._Highs()
-        for name, value in (
+        lp = _highs_lp(model)
+        lp.integrality_ = []
+        self._highs = _new_highs(lp, (
             ("output_flag", False),
             ("log_to_console", False),
             ("presolve", "on" if options.presolve else "off"),
             ("primal_feasibility_tolerance", float(options.lp_feasibility_tol)),
             ("dual_feasibility_tolerance", float(options.lp_feasibility_tol)),
-        ):
-            self._set(name, value)
-        lp = _highs_lp(model)
-        lp.integrality_ = []
-        if self._highs.passModel(lp) != _highspy.HighsStatus.kOk:
-            raise BackendError("HiGHS rejected the model")
+        ))
         self.relaxation = self._run()
-        self._set("presolve", "off")
-
-    def _set(self, name, value):
-        if self._highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
-            raise BackendError(f"HiGHS rejected option {name}={value!r}")
+        _set_option(self._highs, "presolve", "off")
 
     def fix(self, y: np.ndarray, u: np.ndarray) -> SolveOutcome:
         """Solve the LP with the acceptance binaries fixed to the rounded y, u."""
@@ -305,7 +287,7 @@ class LpSession:
             left = self._limit - (t0 - self._t0)
             if left <= 0:
                 return SolveOutcome("time_limit_no_solution", None, None, 0.0, message="session time limit spent")
-            self._set("time_limit", left)
+            _set_option(self._highs, "time_limit", left)
         self._highs.run()
         self.lp_count += 1
         status = self._highs.getModelStatus()
@@ -330,52 +312,16 @@ class ScipyHighsBackend:
     def solve_lp(self, model: MilpModel, options: SolveOptions = SolveOptions()) -> SolveOutcome:
         """Continuous solve; binary columns keep their current bounds.
 
-        The model's objective must be set. Duals are returned on optimal.
+        The model's objective must be set. The outcome is the relaxation of
+        a one-shot LpSession, so integrality is ignored.
         """
         if model.objective is None:
             raise BackendError("model has no objective")
         t0 = time.perf_counter()
         if model.n_cols == 0:
             return _empty_outcome(model, t0)
-        c = model.objective if model.objective_sense == "min" else -model.objective
-        A_eq, b_eq, eq_rows, A_ub, b_ub, ub_rows, ub_sign = _split_rows(model)
-        lp_opts = {
-            "presolve": options.presolve,
-            "primal_feasibility_tolerance": options.lp_feasibility_tol,
-            "dual_feasibility_tolerance": options.lp_feasibility_tol,
-        }
-        if options.time_limit is not None:
-            lp_opts["time_limit"] = float(options.time_limit)
-        res = sciopt.linprog(
-            c,
-            A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-            A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-            bounds=np.column_stack([model.lb, model.ub]),
-            method="highs",
-            options=lp_opts,
-        )
-        wall = time.perf_counter() - t0
-        if res.status == 2:
-            return SolveOutcome("infeasible", None, None, wall, message=res.message)
-        if res.status == 3:
-            return SolveOutcome("unbounded", None, None, wall, message=res.message)
-        if res.status != 0 or res.x is None:
-            return SolveOutcome("time_limit_no_solution", None, None, wall, message=res.message)
-        # orient scipy's minimize-convention marginals to the model's sense
-        mult = -1.0 if model.objective_sense == "max" else 1.0
-        rows = np.zeros(model.n_rows)
-        if eq_rows.size:
-            rows[eq_rows] = mult * res.eqlin.marginals
-        if ub_rows.size:
-            rows[ub_rows] = mult * res.ineqlin.marginals * ub_sign
-        obj = float(model.objective @ res.x)
-        return SolveOutcome(
-            "optimal", obj, res.x, wall, best_bound=obj, mip_gap=0.0,
-            row_duals=rows,
-            lower_duals=mult * res.lower.marginals,
-            upper_duals=mult * res.upper.marginals,
-            message=res.message,
-        )
+        out = LpSession(model, options).relaxation
+        return replace(out, wall_time=time.perf_counter() - t0)
 
     def solve_mip(self, model: MilpModel, options: SolveOptions = SolveOptions()) -> SolveOutcome:
         if model.objective is None:
@@ -433,12 +379,7 @@ class ScipyHighsBackend:
 
     def _run_highs(self, model: MilpModel, options: SolveOptions, start=None) -> SolveOutcome:
         t0 = time.perf_counter()
-        highs = _highspy._Highs()
-        for name, value in _highs_options(options):
-            if highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
-                raise BackendError(f"HiGHS rejected option {name}={value!r}")
-        if highs.passModel(_highs_lp(model)) != _highspy.HighsStatus.kOk:
-            raise BackendError("HiGHS rejected the model")
+        highs = _new_highs(_highs_lp(model), _highs_options(options))
         if start is not None:
             # HiGHS may still reject the start; solve_mip then keeps it
             # unless the search finds something better

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from scipy.sparse import csr_matrix, vstack
+from scipy.optimize import linprog
+from scipy.sparse import diags
 
 from damclear import backend as bk
 from damclear import milp
@@ -27,6 +28,27 @@ def _tiny(rows=(), senses=(), rhs=(), lb=-np.inf, ub=np.inf, objective=1.0):
         row_roles={},
         objective=np.array([objective]), objective_sense="max",
     )
+
+
+def _linprog_objective(model):
+    """The model's LP relaxation solved by scipy.optimize.linprog, an
+    outside reference for the backend's HiGHS LP path: equality rows as
+    A_eq, the others oriented to <= (a '>' row negated)."""
+    A = model.constraint_matrix()
+    sense = np.asarray(model.row_sense)
+    rhs = np.asarray(model.row_rhs, dtype=float)
+    eq, ub = sense == "=", sense != "="
+    sign = np.where(sense[ub] == ">", -1.0, 1.0)
+    c = model.objective if model.objective_sense == "min" else -model.objective
+    res = linprog(
+        c,
+        A_ub=diags(sign) @ A[ub] if ub.any() else None, b_ub=sign * rhs[ub] if ub.any() else None,
+        A_eq=A[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+        bounds=np.column_stack([model.lb, model.ub]), method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status == 0, res.message
+    return float(model.objective @ res.x)
 
 
 def test_options_validation():
@@ -77,6 +99,24 @@ def test_resolve_rounds_near_integer_selection():
     assert rd.objective == pytest.approx(450.0, abs=1e-6)
 
 
+def test_zero_column_models():
+    # HiGHS reports a model without columns as Empty, feasible or not
+    def empty(rhs):
+        return milp.MilpModel(
+            instance=None, form="umfs", var_names=[], lb=np.zeros(0), ub=np.zeros(0),
+            integrality=np.zeros(0), roles={"y": slice(0, 0), "u": slice(0, 0)},
+            row_cols=[np.zeros(0, dtype=int)], row_coefs=[np.zeros(0)],
+            row_sense=["<"], row_rhs=[rhs], row_names=["r0"], row_roles={},
+            objective=np.zeros(0), objective_sense="max",
+        )
+
+    for solve in (bk.solve_lp, bk.solve_mip):
+        out = solve(empty(1.0))  # 0 <= 1
+        assert out.status == "optimal" and out.objective == 0.0
+        assert out.columns.shape == (0,)
+        assert solve(empty(-1.0)).status == "infeasible"  # 0 <= -1
+
+
 def test_resolve_invalid_selection_is_infeasible():
     # {C, D} sells 30 MW against 25 MW of demand
     m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
@@ -90,23 +130,16 @@ def test_resolve_rejects_wrong_shape():
         bk.resolve_duals(m, np.array([1.0]), np.zeros(0))
 
 
-def test_strong_duality_on_random_convex_lps():
-    # hourly-only instances have no binaries, so the welfare model is an LP;
-    # the oriented marginals must close the duality gap against rhs + bounds
+def test_random_convex_lps_match_linprog():
+    # hourly-only instances have no binaries, so the welfare model is an LP
     for seed in range(8):
         inst = generate(GeneratorConfig(seed=seed, n_blocks=0, n_mic=0))
         m = milp.set_objective(milp.build_model(inst, "umfs"), "welfare")
         assert m.n_binary == 0
         out = bk.solve_lp(m, bk.SolveOptions())
         assert out.status == "optimal"
-        lb = np.where(np.isfinite(m.lb), m.lb, 0.0)
-        ub = np.where(np.isfinite(m.ub), m.ub, 0.0)
-        dual_value = (
-            out.row_duals @ np.asarray(m.row_rhs)
-            + out.lower_duals @ lb
-            + out.upper_duals @ ub
-        )
-        assert dual_value == pytest.approx(out.objective, abs=1e-6 * (1 + abs(out.objective)))
+        want = _linprog_objective(m)
+        assert out.objective == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
         # and the MIP path agrees with the LP on a binary-free model,
         # without reporting HiGHS's MIP placeholders (bound 0, gap inf)
         mip = bk.solve_mip(m, bk.SolveOptions())
@@ -207,7 +240,8 @@ def test_highs_private_api_is_present():
         assert hasattr(_core, name), name
     highs = _core._Highs()
     for name in ("passModel", "setOptionValue", "setSolution", "run",
-                 "getModelStatus", "modelStatusToString", "getInfo", "getSolution"):
+                 "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
+                 "changeColsBounds"):
         assert callable(getattr(highs, name, None)), name
     info = highs.getInfo()
     for name in ("mip_dual_bound", "mip_gap", "mip_node_count", "objective_function_value"):
@@ -238,57 +272,6 @@ def test_seed_and_threads_are_accepted():
     assert out.objective == pytest.approx(450.0, abs=1e-6)
 
 
-def _split_rows_reference(model):
-    """Row-by-row split: one CSR row per stored row, '>' rows negated."""
-    n = model.n_cols
-    eq_rows, ub_rows, ub_sign = [], [], []
-    eq_mats, ub_mats = [], []
-    b_eq, b_ub = [], []
-    for r in range(model.n_rows):
-        cols, coefs = model.row_cols[r], model.row_coefs[r]
-        row = csr_matrix((coefs, (np.zeros(len(cols), dtype=int), cols)), shape=(1, n))
-        sense = model.row_sense[r]
-        if sense == "=":
-            eq_rows.append(r)
-            eq_mats.append(row)
-            b_eq.append(model.row_rhs[r])
-        elif sense == "<":
-            ub_rows.append(r)
-            ub_sign.append(1.0)
-            ub_mats.append(row)
-            b_ub.append(model.row_rhs[r])
-        else:
-            ub_rows.append(r)
-            ub_sign.append(-1.0)
-            ub_mats.append(-row)
-            b_ub.append(-model.row_rhs[r])
-    A_eq = vstack(eq_mats, format="csr") if eq_mats else None
-    A_ub = vstack(ub_mats, format="csr") if ub_mats else None
-    return A_eq, np.array(b_eq), eq_rows, A_ub, np.array(b_ub), ub_rows, np.array(ub_sign)
-
-
-def test_split_rows_matches_row_by_row_reference():
-    instances = {
-        "toy": make_toy(),
-        "mic": make_mic(1000.0),
-        "pab": make_pab_chain(),
-        "generated": generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
-    }
-    for tag, instance in instances.items():
-        for rules in ("pcr", "umfs"):
-            for objective in milp.OBJECTIVES:
-                m = build_request_model(instance, ClearingRequest(objective=objective, rules=rules))
-                got = bk._split_rows(m)
-                ref = _split_rows_reference(m)
-                case = (tag, rules, objective)
-                for k in (0, 3):  # A_eq, A_ub
-                    assert got[k].shape == ref[k].shape, case
-                    np.testing.assert_array_equal(got[k].toarray(), ref[k].toarray(), err_msg=str(case))
-                for k in (1, 4, 6):  # b_eq, b_ub, ub_sign
-                    np.testing.assert_array_equal(got[k], ref[k], err_msg=str(case))
-                assert list(got[2]) == ref[2] and list(got[5]) == ref[5], case
-
-
 def _session_models():
     inst = generate(GeneratorConfig(seed=5, n_blocks=4, n_mic=2))
     for rules in ("pcr", "umfs"):
@@ -303,11 +286,9 @@ def _random_selections(model, count, seed):
             for _ in range(count)]
 
 
-def test_lp_session_relaxation_matches_solve_lp():
+def test_lp_session_relaxation_matches_linprog():
     for rules, m in _session_models():
-        free = m.copy()
-        free.integrality = np.zeros_like(free.integrality)
-        want = bk.solve_lp(free).objective
+        want = _linprog_objective(m)
         session = bk.LpSession(m)
         assert session.relaxation.status == "optimal", rules
         assert session.lp_count == 1

@@ -236,9 +236,12 @@ def test_binary_free_model_builds_no_lp_session(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("LpSession built for a model without binaries")
 
-    monkeypatch.setattr(be, "LpSession", refuse)
     inst = generate(GeneratorConfig(seed=3, n_blocks=0, n_mic=0))
-    sol = clear(inst, ClearingRequest())
+    request = ClearingRequest()
+    with monkeypatch.context() as patch:
+        patch.setattr(be, "LpSession", refuse)
+        assert engine._relaxation_start(build_request_model(inst, request), request) is None
+    sol = clear(inst, request)
     assert sol.solver_status == "optimal"
     assert verify_equilibrium(inst, sol).overall_pass
 
