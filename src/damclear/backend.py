@@ -1,11 +1,13 @@
 """Solver access layer.
 
-Everything downstream talks to a backend through solve_lp / solve_mip /
-resolve_duals and SolveOutcome; the bundled implementation sits on scipy's
-own HiGHS bindings (scipy.optimize._highspy): one HiGHS object per MIP
-solve, and one LpSession per LP solve.
-The registry plus the DAMCLEAR_BACKEND environment variable allow swapping
-in another implementation without touching callers.
+The module functions solve_lp, solve_mip and resolve_duals return a
+SolveOutcome from the backend that get_backend() picks: the registry entry
+named by the DAMCLEAR_BACKEND environment variable, else the bundled
+implementation. That one sits on scipy's own HiGHS bindings
+(scipy.optimize._highspy): one HiGHS object per MIP solve, and one
+LpSession per LP solve. LpSession itself does not go through the registry:
+it always runs the bundled HiGHS, and so does the relaxation start of
+engine.clear, which uses it directly.
 
 Outcomes carry no solver duals: prices, surpluses and compensations are
 columns of the primal-dual model, so an LP solve returns them in columns.
@@ -31,7 +33,10 @@ flag; solve_mip captures fd 1 around the solve and counts them in the
 outcome's message.
 
 Every solve hands HiGHS the rows of MilpModel.constraint_matrix() with
-their interval bounds from MilpModel.row_bounds().
+their interval bounds from MilpModel.row_bounds(). A run that ends
+without a point reports infeasible, unbounded, time_limit_no_solution
+(HiGHS's time limit only) or solver_failed (any other HiGHS status, named
+in the outcome's message).
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from scipy.optimize._highspy import _core as _highspy
 from .milp import MilpModel
 
 _WS_VALIDATION_TOL = 1e-5
+# HiGHS's MIP feasibility tolerance; a binary within it of 0 or 1 counts as integral
+INTEGER_FEASIBILITY_TOL = 1e-6
 _STATUS = _highspy.HighsModelStatus
 
 
@@ -61,28 +68,26 @@ class SolveOptions:
     """Solver controls; defaults are tighter than solver defaults because
     the big-M rows amplify integer slack into price error.
 
-    time_limit is wall seconds (None = unlimited). warm_start may be a full
-    column vector or a {variable name: value} map; it falls back to the
-    model's own warm_start slot when absent.
+    time_limit is wall seconds (None = unlimited); engine.clear gives it to
+    the whole clear and engine.staged_clear splits it across its stages.
+    relative_gap_target is the MIP's stopping gap. warm_start is a full
+    column vector; it falls back to the model's own warm_start slot when
+    absent. thread_count and random_seed go to HiGHS as given (None keeps
+    its default).
     """
 
     time_limit: Optional[float] = None
     relative_gap_target: float = 1e-6
-    absolute_gap_target: Optional[float] = None
     lp_feasibility_tol: float = 1e-9
-    integer_feasibility_tol: float = 1e-6
     thread_count: Optional[int] = None
-    warm_start: Optional[object] = None
-    node_limit: Optional[int] = None
+    warm_start: Optional[np.ndarray] = None
     random_seed: Optional[int] = None
     presolve: bool = True
 
     def __post_init__(self):
-        if self.lp_feasibility_tol <= 0 or self.integer_feasibility_tol <= 0:
+        if self.lp_feasibility_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.relative_gap_target < 0:
-            raise ValueError("gap targets must be >= 0")
-        if self.absolute_gap_target is not None and self.absolute_gap_target < 0:
             raise ValueError("gap targets must be >= 0")
 
 
@@ -97,10 +102,12 @@ class SolveOutcome:
     used_warm_start means the returned point is the warm start; its bound
     is the solver's or, when the solver gives none, the objective of one
     LP-relaxation solve of the same model, and its mip_gap is
-    |best_bound - objective| / (1 + |objective|).
+    |best_bound - objective| / (1 + |objective|). message carries HiGHS's
+    status string and notes on the warm start.
     """
 
-    status: str  # optimal | feasible_gap | infeasible | unbounded | time_limit_no_solution
+    # optimal | feasible_gap | infeasible | unbounded | time_limit_no_solution | solver_failed
+    status: str
     objective: Optional[float]
     columns: Optional[np.ndarray]
     wall_time: float
@@ -131,13 +138,6 @@ def _resolve_warm_vector(model: MilpModel, options: SolveOptions) -> Optional[np
     ws = options.warm_start if options.warm_start is not None else model.warm_start
     if ws is None:
         return None
-    if isinstance(ws, dict):
-        base = np.clip(np.zeros(model.n_cols), model.lb, model.ub)
-        pos = {name: c for c, name in enumerate(model.var_names)}
-        for name, val in ws.items():
-            if name in pos:
-                base[pos[name]] = float(val)
-        return base
     ws = np.asarray(ws, dtype=float)
     return ws if ws.shape == (model.n_cols,) else None
 
@@ -149,15 +149,11 @@ def _highs_options(options: SolveOptions):
         ("log_to_console", False),
         ("presolve", "on" if options.presolve else "off"),
         ("mip_rel_gap", float(options.relative_gap_target)),
-        ("mip_feasibility_tolerance", float(options.integer_feasibility_tol)),
+        ("mip_feasibility_tolerance", INTEGER_FEASIBILITY_TOL),
         ("primal_feasibility_tolerance", float(options.lp_feasibility_tol)),
     ]
-    if options.absolute_gap_target is not None:
-        pairs.append(("mip_abs_gap", float(options.absolute_gap_target)))
     if options.time_limit is not None:
         pairs.append(("time_limit", float(options.time_limit)))
-    if options.node_limit is not None:
-        pairs.append(("mip_max_nodes", int(options.node_limit)))
     if options.thread_count is not None:
         pairs.append(("threads", int(options.thread_count)))
     if options.random_seed is not None:
@@ -237,6 +233,19 @@ def _finite(value) -> Optional[float]:
     return value if np.isfinite(value) else None
 
 
+_NO_POINT = {
+    _STATUS.kInfeasible: "infeasible",
+    _STATUS.kUnbounded: "unbounded",
+    _STATUS.kTimeLimit: "time_limit_no_solution",
+}
+
+
+def _no_point(status, wall: float, message: str) -> SolveOutcome:
+    """The outcome of a HiGHS run that ended without a point; any status
+    but infeasible, unbounded and a time limit is a solver failure."""
+    return SolveOutcome(_NO_POINT.get(status, "solver_failed"), None, None, wall, message=message)
+
+
 class LpSession:
     """A model's LP relaxation on one persistent HiGHS object.
 
@@ -293,12 +302,8 @@ class LpSession:
         status = self._highs.getModelStatus()
         wall = time.perf_counter() - t0
         message = self._highs.modelStatusToString(status)
-        if status == _STATUS.kInfeasible:
-            return SolveOutcome("infeasible", None, None, wall, message=message)
-        if status == _STATUS.kUnbounded:
-            return SolveOutcome("unbounded", None, None, wall, message=message)
         if status != _STATUS.kOptimal:
-            return SolveOutcome("time_limit_no_solution", None, None, wall, message=message)
+            return _no_point(status, wall, message)
         x = np.array(self._highs.getSolution().col_value)
         obj = float(self._model.objective @ x)
         return SolveOutcome("optimal", obj, x, wall, best_bound=obj, mip_gap=0.0, message=message)
@@ -339,7 +344,7 @@ class ScipyHighsBackend:
                 np.abs(ws[model.integrality == 1] - np.round(ws[model.integrality == 1])).max()
                 if model.n_binary else 0.0
             )
-            if viol <= _WS_VALIDATION_TOL and frac <= options.integer_feasibility_tol:
+            if viol <= _WS_VALIDATION_TOL and frac <= INTEGER_FEASIBILITY_TOL:
                 ws_obj = float(model.objective @ ws)
             else:
                 ws = None
@@ -352,7 +357,9 @@ class ScipyHighsBackend:
                 if model.objective_sense == "max"
                 else out.objective < ws_obj - 1e-12 * (1 + abs(ws_obj))
             )
-            if not better and out.status in ("time_limit_no_solution", "feasible_gap", "optimal"):
+            if not better and out.status in (
+                "time_limit_no_solution", "solver_failed", "feasible_gap", "optimal"
+            ):
                 # the solver's incumbent is the start, or it rejected the
                 # start and found nothing better: keep the warm point
                 bound = out.best_bound
@@ -394,10 +401,6 @@ class ScipyHighsBackend:
         message = highs.modelStatusToString(status)
         if leaked:
             message += f"; {leaked} line(s) of solver stdout captured"
-        if status == _STATUS.kInfeasible:
-            return SolveOutcome("infeasible", None, None, wall, message=message)
-        if status == _STATUS.kUnbounded:
-            return SolveOutcome("unbounded", None, None, wall, message=message)
         # a binary-free model runs as an LP, whose MIP fields are placeholders
         is_mip = bool(model.n_binary)
         best_bound = _finite(info.mip_dual_bound) if is_mip else None
@@ -407,10 +410,7 @@ class ScipyHighsBackend:
             and np.isfinite(info.objective_function_value)
         )
         if not has_x:
-            return SolveOutcome(
-                "time_limit_no_solution", None, None, wall,
-                best_bound=best_bound, node_count=node_count, message=message,
-            )
+            return replace(_no_point(status, wall, message), best_bound=best_bound, node_count=node_count)
         x = np.array(highs.getSolution().col_value)
         return SolveOutcome(
             "optimal" if status == _STATUS.kOptimal else "feasible_gap",
@@ -442,21 +442,15 @@ def get_backend(name: Optional[str] = None):
         ) from None
 
 
-def solve_lp(model: MilpModel, options: SolveOptions = SolveOptions(), backend=None) -> SolveOutcome:
-    return (backend or get_backend()).solve_lp(model, options)
+def solve_lp(model: MilpModel, options: SolveOptions = SolveOptions()) -> SolveOutcome:
+    return get_backend().solve_lp(model, options)
 
 
-def solve_mip(model: MilpModel, options: SolveOptions = SolveOptions(), backend=None) -> SolveOutcome:
-    return (backend or get_backend()).solve_mip(model, options)
+def solve_mip(model: MilpModel, options: SolveOptions = SolveOptions()) -> SolveOutcome:
+    return get_backend().solve_mip(model, options)
 
 
-def resolve_duals(
-    model: MilpModel,
-    y: np.ndarray,
-    u: np.ndarray,
-    options: SolveOptions = SolveOptions(),
-    backend=None,
-) -> SolveOutcome:
+def resolve_duals(model: MilpModel, y, u, options: SolveOptions = SolveOptions()) -> SolveOutcome:
     """Fix the acceptance binaries and re-solve the model as an LP.
 
     The primal-dual column structure means the LP solution itself carries
@@ -479,7 +473,7 @@ def resolve_duals(
     fixed.lb[us] = u
     fixed.ub[us] = u
     fixed.warm_start = None
-    solver = backend or get_backend()
+    solver = get_backend()
     out = solver.solve_lp(fixed, options)
     if out.status == "optimal":
         return out

@@ -49,42 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _env_float(name):
-    raw = os.environ.get(name)
-    if raw in (None, ""):
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} is not a number: {raw!r}")
-
-
-def _solve_options(args) -> SolveOptions:
-    time_limit = args.time_limit
-    if time_limit is None:
-        time_limit = _env_float("DAMCLEAR_TIME_LIMIT")
-    gap = args.gap
-    if gap is None:
-        gap = _env_float("DAMCLEAR_GAP")
-    return SolveOptions(
-        time_limit=time_limit,
-        relative_gap_target=gap if gap is not None else 1e-6,
-        thread_count=args.threads,
-        random_seed=args.seed,
-    )
-
-
 def _request(args) -> ClearingRequest:
-    options = _solve_options(args)
-    kwargs = {}
-    if options.time_limit is not None:
-        t = options.time_limit
-        kwargs["stage_time_budgets"] = (0.25 * t, 0.25 * t, 0.5 * t)
     return ClearingRequest(
         objective=_OBJ_FROM_FLAG[args.objective],
         rules=args.rules,
-        solve_options=options,
-        **kwargs,
+        solve_options=SolveOptions(
+            time_limit=args.time_limit,
+            relative_gap_target=args.gap,
+            thread_count=args.threads,
+            random_seed=args.seed,
+        ),
     )
 
 
@@ -260,7 +234,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--rules", choices=("pcr", "umfs"), default="pcr")
         p.add_argument("--heuristic", choices=("off", "staged"), default="off")
         p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-        p.add_argument("--gap", type=float, default=None, metavar="FRACTION")
+        p.add_argument("--gap", type=float, default=SolveOptions.relative_gap_target, metavar="FRACTION")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None, metavar="PREFIX")

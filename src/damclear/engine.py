@@ -42,13 +42,12 @@ class ClearingRequest:
 
     rules='pcr' forbids paradoxically accepted blocks (no losses, no
     compensations); rules='umfs' allows them, compensated through d_accept.
-    stage_time_budgets apply to staged_clear only, one entry per stage, in
-    seconds.
+    solve_options.time_limit bounds clear() as a whole; staged_clear()
+    splits it across its three stages (see _stage_budgets).
     """
 
     objective: str = "welfare"
     rules: str = "pcr"
-    stage_time_budgets: tuple = (900.0, 900.0, 1200.0)
     solve_options: be.SolveOptions = be.SolveOptions()
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class ClearingRequest:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.rules not in RULESETS:
             raise ValueError(f"unknown rules {self.rules!r}")
-        if len(self.stage_time_budgets) != 3 or any(b < 0 for b in self.stage_time_budgets):
-            raise ValueError("stage_time_budgets must be three nonnegative durations")
 
 
 def build_request_model(instance: Instance, request: ClearingRequest) -> milp.MilpModel:
@@ -78,13 +75,18 @@ def build_request_model(instance: Instance, request: ClearingRequest) -> milp.Mi
 
 
 def _mip_options(request: ClearingRequest, time_limit: Optional[float]) -> be.SolveOptions:
-    if time_limit is None:
-        return request.solve_options
     return replace(request.solve_options, time_limit=time_limit)
 
 
 def _lp_options(request: ClearingRequest) -> be.SolveOptions:
     return replace(request.solve_options, time_limit=None, warm_start=None)
+
+
+def _stage_budgets(request: ClearingRequest) -> tuple:
+    """staged_clear's per-stage time limits: a quarter, a quarter and a half
+    of the request's time limit; none without one."""
+    t = request.solve_options.time_limit
+    return (None, None, None) if t is None else (0.25 * t, 0.25 * t, 0.5 * t)
 
 
 def _gap_of(outcome: be.SolveOutcome) -> float:
@@ -169,13 +171,10 @@ def _finalize(
     model: milp.MilpModel,
     outcome: be.SolveOutcome,
     request: ClearingRequest,
-    backend,
 ) -> ClearingSolution:
     if not outcome.has_solution:
         raise ClearingError(f"no feasible solution within budget (solver: {outcome.status})")
-    resolved = be.resolve_duals(
-        model, **_selection(model, outcome), options=_lp_options(request), backend=backend
-    )
+    resolved = be.resolve_duals(model, **_selection(model, outcome), options=_lp_options(request))
     if resolved.status != "optimal":
         raise ClearingError(
             f"dual resolve failed for the incumbent selection: {resolved.status}"
@@ -230,7 +229,7 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> Option
     ys, us = model.roles["y"], model.roles["u"]
     n_y = ys.stop - ys.start
     z = np.r_[relax.columns[ys], relax.columns[us]]
-    frac = np.flatnonzero(np.abs(z - np.round(z)) > request.solve_options.integer_feasibility_tol)
+    frac = np.flatnonzero(np.abs(z - np.round(z)) > be.INTEGER_FEASIBILITY_TOL)
     floor = np.round(z)
     floor[frac] = 0.0
     margin = _mic_margins(model, relax.columns)
@@ -265,7 +264,7 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> Option
     )
 
 
-def clear(instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None) -> ClearingSolution:
+def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> ClearingSolution:
     """Single-shot clearing under the requested objective and rules.
 
     A model with binaries first gets a start rounded from its LP relaxation
@@ -283,8 +282,8 @@ def clear(instance: Instance, request: ClearingRequest = ClearingRequest(), back
             model.warm_start = outcome.columns
         limit = request.solve_options.time_limit
         left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
-        outcome = be.solve_mip(model, _mip_options(request, left), backend=backend)
-    return _finalize(instance, model, outcome, request, backend)
+        outcome = be.solve_mip(model, _mip_options(request, left))
+    return _finalize(instance, model, outcome, request)
 
 
 def _pinned(model: milp.MilpModel, **values) -> milp.MilpModel:
@@ -300,38 +299,38 @@ def _selection(model: milp.MilpModel, outcome: be.SolveOutcome) -> dict:
     return {role: np.round(outcome.columns[model.roles[role]]) for role in ("y", "u")}
 
 
-def _mic_then_blocks(model, request, backend):
+def _mic_then_blocks(model, request):
     """Stages 1 and 2 for welfare: MIC bids with every block rejected, then
     the blocks under that frozen MIC selection, warm-started."""
-    b1, b2, _ = request.stage_time_budgets
-    out1 = be.solve_mip(_pinned(model, y=0.0), _mip_options(request, b1), backend=backend)
+    b1, b2, _ = _stage_budgets(request)
+    out1 = be.solve_mip(_pinned(model, y=0.0), _mip_options(request, b1))
     if not out1.has_solution:
         raise ClearingError(f"stage 1 found nothing within budget ({out1.status})")
     m2 = _pinned(model, u=_selection(model, out1)["u"])
     m2.warm_start = out1.columns.copy()
-    out2 = be.solve_mip(m2, _mip_options(request, b2), backend=backend)
+    out2 = be.solve_mip(m2, _mip_options(request, b2))
     return out1, (out2 if out2.has_solution else out1)
 
 
-def _welfare_then_target(model, request, backend):
+def _welfare_then_target(model, request):
     """Stages 1 and 2 for volume and min-oc: maximize welfare on a copy of
     the model, then re-optimize the request's objective over that selection."""
-    b1, b2, _ = request.stage_time_budgets
+    b1, b2, _ = _stage_budgets(request)
     welfare = model.copy()
     milp.set_objective(welfare, "welfare")
-    out1 = be.solve_mip(welfare, _mip_options(request, b1), backend=backend)
+    out1 = be.solve_mip(welfare, _mip_options(request, b1))
     if not out1.has_solution:
         raise ClearingError(f"welfare stage found nothing within budget ({out1.status})")
-    fixed = _pinned(model, **_selection(model, out1))
-    out2 = be.solve_lp(fixed, replace(_lp_options(request), time_limit=b2 or None), backend=backend)
+    out2 = be.resolve_duals(
+        model, **_selection(model, out1), options=replace(_lp_options(request), time_limit=b2 or None)
+    )
     if out2.status != "optimal":
         raise ClearingError(f"{request.objective} stage-b LP failed: {out2.status}")
     return out1, out2
 
 
 def staged_clear(
-    instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None,
-    trace: Optional[dict] = None,
+    instance: Instance, request: ClearingRequest = ClearingRequest(), trace: Optional[dict] = None
 ) -> ClearingSolution:
     """Three-stage search for hard instances, on the request's one model.
 
@@ -340,30 +339,29 @@ def staged_clear(
     (MIC bids dominate hardness, so settling them early prunes the tree).
     volume and min_opportunity_cost: stage 1 maximizes welfare, stage 2
     re-optimizes the request's objective as an LP over the welfare
-    selection. Stage 3 always solves the full model with the stage-2 point
-    as the solver's incumbent, so it stops at the root when that point
-    already meets the gap target, and falls back to it when it finds
-    nothing better. A trace dict, when given, receives the per-stage
-    objective values (stage 1 of volume and min_opportunity_cost is in
-    welfare units).
+    selection (resolve_duals). Stage 3 always solves the full model with
+    the stage-2 point as the solver's incumbent, so it stops at the root
+    when that point already meets the gap target, and falls back to it
+    when it finds nothing better. The stages get a quarter, a quarter and
+    a half of the request's time limit (_stage_budgets). A trace dict,
+    when given, receives the per-stage objective values (stage 1 of volume
+    and min_opportunity_cost is in welfare units).
     """
     validate_instance(instance)
     model = build_request_model(instance, request)
     stages = _mic_then_blocks if request.objective == "welfare" else _welfare_then_target
-    out1, out2 = stages(model, request, backend)
+    out1, out2 = stages(model, request)
     m3 = model.copy()
     m3.warm_start = out2.columns.copy()
-    out3 = be.solve_mip(m3, _mip_options(request, request.stage_time_budgets[2]), backend=backend)
+    out3 = be.solve_mip(m3, _mip_options(request, _stage_budgets(request)[2]))
     if not out3.has_solution:
         out3 = out2
     if trace is not None:
         trace["stage_objectives"] = [out1.objective, out2.objective, out3.objective]
-    return _finalize(instance, model, out3, request, backend)
+    return _finalize(instance, model, out3, request)
 
 
-def compare_pab_models(
-    instance: Instance, request: ClearingRequest = ClearingRequest(), backend=None
-) -> dict:
+def compare_pab_models(instance: Instance, request: ClearingRequest = ClearingRequest()) -> dict:
     """Welfare clearing under both rule sets, with the decomposition check.
 
     The identity welfare = sum s_hourly + sum s_block + sum s_mic
@@ -374,7 +372,7 @@ def compare_pab_models(
     residuals = {}
     for rules in RULESETS:
         req = replace(request, rules=rules, objective="welfare")
-        sol = clear(instance, req, backend=backend)
+        sol = clear(instance, req)
         idx = InstanceIndex(instance)
         dual_value = float(
             sol.s_hourly.sum() + sol.s_block.sum() + sol.s_mic.sum() - sol.d_accept.sum()

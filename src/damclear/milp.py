@@ -109,7 +109,7 @@ class MilpModel:
 
     Rows are stored as (column-index array, coefficient array) pairs with a
     sense in {'<', '=', '>'} and a right-hand side. ``roles`` maps a column
-    group name to its slice; ``row_roles`` maps a row family to row indices.
+    group name to its slice.
     ``warm_start`` holds a full column vector or None. Bounds may be
     tightened in place (that is how selections get fixed); rows are append-
     only after construction.
@@ -127,7 +127,6 @@ class MilpModel:
     row_sense: list[str]
     row_rhs: list[float]
     row_names: list[str]
-    row_roles: dict[str, list[int]]
     objective: Optional[np.ndarray] = None
     objective_sense: str = "max"
     warm_start: Optional[np.ndarray] = None
@@ -158,13 +157,12 @@ class MilpModel:
             row_sense=list(self.row_sense),
             row_rhs=list(self.row_rhs),
             row_names=list(self.row_names),
-            row_roles={k: list(v) for k, v in self.row_roles.items()},
             objective=None if self.objective is None else self.objective.copy(),
             objective_sense=self.objective_sense,
             warm_start=None if self.warm_start is None else self.warm_start.copy(),
         )
 
-    def add_row(self, cols, coefs, sense: str, rhs: float, name: str, role: str) -> int:
+    def add_row(self, cols, coefs, sense: str, rhs: float, name: str) -> int:
         assert sense in ("<", "=", ">")
         idx = len(self.row_cols)
         self.row_cols.append(np.asarray(cols, dtype=int))
@@ -172,7 +170,6 @@ class MilpModel:
         self.row_sense.append(sense)
         self.row_rhs.append(float(rhs))
         self.row_names.append(name)
-        self.row_roles.setdefault(role, []).append(idx)
         return idx
 
     def constraint_matrix(self):
@@ -350,15 +347,11 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
         row_sense=[],
         row_rhs=[],
         row_names=[],
-        row_roles={},
     )
 
     # suborder gating: x_hc <= u_c
     for h in range(nS):
-        model.add_row(
-            [cxm + h, cu + idx.sub_owner[h]], [1.0, -1.0], "<", 0.0,
-            f"gate_{sid[h]}", "sub_link",
-        )
+        model.add_row([cxm + h, cu + idx.sub_owner[h]], [1.0, -1.0], "<", 0.0, f"gate_{sid[h]}")
 
     # power balance per (location, period)
     bal_cols: list[list[int]] = [[] for _ in range(LT)]
@@ -383,13 +376,13 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
                 bal_cols[lt].append(cn + k)
                 bal_coefs[lt].append(-e)
     for lt in range(LT):
-        model.add_row(bal_cols[lt], bal_coefs[lt], "=", 0.0, f"bal_{ltlab[lt]}", "balance")
+        model.add_row(bal_cols[lt], bal_coefs[lt], "=", 0.0, f"bal_{ltlab[lt]}")
 
     # network capacity rows
     a = net.constraint_rows
     for m in range(M):
         nz = np.nonzero(a[m])[0]
-        model.add_row(cn + nz, a[m, nz], "<", float(net.capacities[m]), f"net_{m}", "network")
+        model.add_row(cn + nz, a[m, nz], "<", float(net.capacities[m]), f"net_{m}")
 
     # dual feasibility of hourly fractions: s_i + P_i pi >= P_i limit_i
     for i in range(nI):
@@ -397,7 +390,7 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
             [csi + i, cpi + idx.hourly_lt[i]],
             [1.0, idx.hourly_power[i]],
             ">", idx.hourly_power[i] * idx.hourly_limit[i],
-            f"dh_{hid[i]}", "dual_hourly",
+            f"dh_{hid[i]}",
         )
 
     # dual feasibility of MIC suborders
@@ -406,7 +399,7 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
             [csh + h, cpi + idx.sub_lt[h]],
             [1.0, idx.sub_power[h]],
             ">", idx.sub_power[h] * idx.sub_limit[h],
-            f"dm_{sid[h]}", "dual_mic_sub",
+            f"dm_{sid[h]}",
         )
 
     # dual feasibility of blocks and MIC bids; dispatchers in the umfs form,
@@ -424,12 +417,12 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
         if form == "umfs":
             cols += [cdr + j, cda + j]
             coefs += [1.0, -1.0]
-            model.add_row(cols, coefs, ">", rhs, f"db_{bid[j]}", "dual_block")
+            model.add_row(cols, coefs, ">", rhs, f"db_{bid[j]}")
         else:
             Mr = big_m.block_reject[j]
             cols.append(cy + j)
             coefs.append(-Mr)
-            model.add_row(cols, coefs, ">", rhs - Mr, f"db_{bid[j]}", "dual_block")
+            model.add_row(cols, coefs, ">", rhs - Mr, f"db_{bid[j]}")
 
     for c in range(nC):
         sl = idx.mic_slices[c]
@@ -438,32 +431,23 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
         if form == "umfs":
             cols.append(cdur + c)
             coefs.append(1.0)
-            model.add_row(cols, coefs, ">", 0.0, f"dc_{cid[c]}", "dual_mic")
+            model.add_row(cols, coefs, ">", 0.0, f"dc_{cid[c]}")
         else:
             Mc = big_m.mic_reject[c]
             cols.append(cu + c)
             coefs.append(-Mc)
-            model.add_row(cols, coefs, ">", -Mc, f"dc_{cid[c]}", "dual_mic")
+            model.add_row(cols, coefs, ">", -Mc, f"dc_{cid[c]}")
 
     if form == "umfs":
         for j in range(nJ):
             Mr = big_m.block_reject[j]
-            model.add_row(
-                [cdr + j, cy + j], [1.0, Mr], "<", Mr,
-                f"capdr_{bid[j]}", "disp_d_reject",
-            )
+            model.add_row([cdr + j, cy + j], [1.0, Mr], "<", Mr, f"capdr_{bid[j]}")
         for c in range(nC):
             Mc = big_m.mic_reject[c]
-            model.add_row(
-                [cdur + c, cu + c], [1.0, Mc], "<", Mc,
-                f"capdur_{cid[c]}", "disp_du_reject",
-            )
+            model.add_row([cdur + c, cu + c], [1.0, Mc], "<", Mc, f"capdur_{cid[c]}")
         for j in range(nJ):
             Ma = big_m.block_accept[j]
-            model.add_row(
-                [cda + j, cy + j], [1.0, -Ma], "<", 0.0,
-                f"capda_{bid[j]}", "disp_d_accept",
-            )
+            model.add_row([cda + j, cy + j], [1.0, -Ma], "<", 0.0, f"capda_{bid[j]}")
 
     # stationarity of net positions: sum_m a_mk v_m = sum_lt inj_klt pi_lt
     for k in range(K):
@@ -475,7 +459,7 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
             if e != 0.0:
                 cols.append(cpi + lt)
                 coefs.append(-e)
-        model.add_row(cols, coefs, "=", 0.0, f"netdual_{k}", "network_duality")
+        model.add_row(cols, coefs, "=", 0.0, f"netdual_{k}")
 
     # objective-equality row: primal value >= dual value; weak duality makes
     # it an equality at every feasible point, forcing fixed-selection
@@ -508,7 +492,7 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
         for j in range(nJ):
             cols.append(cda + j)
             coefs.append(1.0)
-    model.add_row(cols, coefs, ">", 0.0, "objective_equality", "objective_equality")
+    model.add_row(cols, coefs, ">", 0.0, "objective_equality")
 
     # minimum income: at any feasible point the income an active MIC bid
     # collects equals its limit-weighted traded value minus its surplus
@@ -522,7 +506,7 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
             idx.sub_power[h] * (idx.mic_variable[c] - idx.sub_limit[h])
             for h in range(sl.start, sl.stop)
         ]
-        model.add_row(cols, coefs, ">", 0.0, f"mic_income_{cid[c]}", "mic_income")
+        model.add_row(cols, coefs, ">", 0.0, f"mic_income_{cid[c]}")
 
     return model
 

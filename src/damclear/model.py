@@ -201,12 +201,6 @@ class ClearingSolution:
     solver_gap: float = 0.0
     solver_status: str = "optimal"
 
-    def accepted_blocks(self) -> np.ndarray:
-        return self.y > 0.5
-
-    def accepted_mic(self) -> np.ndarray:
-        return self.u > 0.5
-
 
 @dataclass(frozen=True)
 class BlockSurplusTerms:

@@ -209,8 +209,7 @@ def test_criterion_7_scale_smoke():
     request = ClearingRequest(
         objective="welfare",
         rules="pcr",
-        stage_time_budgets=(150.0, 150.0, 280.0),
-        solve_options=SolveOptions(relative_gap_target=0.002),
+        solve_options=SolveOptions(relative_gap_target=0.002, time_limit=580.0),
     )
     trace = {}
     t0 = time.perf_counter()

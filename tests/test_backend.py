@@ -25,7 +25,6 @@ def _tiny(rows=(), senses=(), rhs=(), lb=-np.inf, ub=np.inf, objective=1.0):
         row_coefs=[np.array([1.0]) for _ in rows],
         row_sense=list(senses), row_rhs=list(rhs),
         row_names=[f"r{i}" for i in range(len(rows))],
-        row_roles={},
         objective=np.array([objective]), objective_sense="max",
     )
 
@@ -55,11 +54,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         bk.SolveOptions(lp_feasibility_tol=0.0)
     with pytest.raises(ValueError):
-        bk.SolveOptions(integer_feasibility_tol=-1e-9)
-    with pytest.raises(ValueError):
         bk.SolveOptions(relative_gap_target=-1.0)
-    with pytest.raises(ValueError):
-        bk.SolveOptions(absolute_gap_target=-0.5)
 
 
 def test_missing_objective_raises():
@@ -106,7 +101,7 @@ def test_zero_column_models():
             instance=None, form="umfs", var_names=[], lb=np.zeros(0), ub=np.zeros(0),
             integrality=np.zeros(0), roles={"y": slice(0, 0), "u": slice(0, 0)},
             row_cols=[np.zeros(0, dtype=int)], row_coefs=[np.zeros(0)],
-            row_sense=["<"], row_rhs=[rhs], row_names=["r0"], row_roles={},
+            row_sense=["<"], row_rhs=[rhs], row_names=["r0"],
             objective=np.zeros(0), objective_sense="max",
         )
 
@@ -166,15 +161,6 @@ def test_warm_start_vector_kept_when_solver_has_nothing():
     assert out.objective == pytest.approx(450.0, abs=1e-6)
     np.testing.assert_allclose(out.columns, base.columns)
     _assert_kept_point_bounded(out)
-
-
-def test_warm_start_dict_form():
-    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    base = bk.solve_mip(m, bk.SolveOptions())
-    ws = dict(zip(m.var_names, base.columns))
-    out = bk.solve_mip(m, bk.SolveOptions(warm_start=ws))
-    assert out.status == "optimal"
-    assert out.objective == pytest.approx(450.0, abs=1e-6)
 
 
 def test_invalid_warm_start_rejected_but_solve_proceeds():
@@ -267,7 +253,7 @@ def test_registry_and_env_selection(monkeypatch):
 
 def test_seed_and_threads_are_accepted():
     m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    out = bk.solve_mip(m, bk.SolveOptions(random_seed=7, thread_count=1, node_limit=10_000))
+    out = bk.solve_mip(m, bk.SolveOptions(random_seed=7, thread_count=1))
     assert out.status == "optimal"
     assert out.objective == pytest.approx(450.0, abs=1e-6)
 
@@ -333,3 +319,28 @@ def test_lp_session_spent_time_limit_runs_nothing():
     assert session.lp_count == 0
     with pytest.raises(bk.BackendError):
         session.fix(np.zeros(3), np.zeros(2))
+
+
+def test_lp_session_reports_a_stopped_run_as_solver_failed():
+    # an iteration limit is not a time limit: no time_limit_no_solution
+    for rules, m in _session_models():
+        session = bk.LpSession(m)
+        bk._set_option(session._highs, "simplex_iteration_limit", 0)
+        out = session.fix(np.ones(4), np.ones(2))
+        assert out.status == "solver_failed" and not out.has_solution, rules
+        assert "Iteration limit reached" in out.message, rules
+
+
+def test_solver_failure_keeps_a_validated_warm_start(monkeypatch):
+    # a zero node limit stops HiGHS at the root without a point
+    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
+    base = bk.solve_mip(m)
+    real = bk._highs_options
+    monkeypatch.setattr(bk, "_highs_options", lambda options: real(options) + [("mip_max_nodes", 0)])
+    out = bk.solve_mip(m)
+    assert out.status == "solver_failed" and not out.has_solution
+    assert "Solution limit reached" in out.message
+    kept = bk.solve_mip(m, bk.SolveOptions(warm_start=base.columns))
+    assert kept.status == "feasible_gap" and kept.used_warm_start
+    assert kept.objective == pytest.approx(450.0, abs=1e-6)
+    assert kept.mip_gap is not None and "bound from the LP relaxation" in kept.message

@@ -156,12 +156,6 @@ def test_malformed_solution_reports_error(toy_tmp, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_bad_gap_env(toy_tmp, monkeypatch, capsys):
-    monkeypatch.setenv("DAMCLEAR_GAP", "not-a-number")
-    assert cli.main(["clear", str(toy_tmp)]) == 1
-    assert "DAMCLEAR_GAP" in capsys.readouterr().err
-
-
 def test_compare_table(toy_tmp, tmp_path, capsys):
     out_path = tmp_path / "compare.json"
     assert cli.main(["compare", str(toy_tmp), "--out", str(out_path)]) == 0

@@ -68,10 +68,6 @@ def test_request_validation():
         ClearingRequest(objective="revenue")
     with pytest.raises(ValueError):
         ClearingRequest(rules="euphemia")
-    with pytest.raises(ValueError):
-        ClearingRequest(stage_time_budgets=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        ClearingRequest(stage_time_budgets=(10.0, -1.0, 10.0))
 
 
 def test_mic_acceptance_threshold():
@@ -126,10 +122,11 @@ def test_heuristic_mic_block_matches_exact():
     assert stages[2] >= stages[0] - 1e-9 * (1.0 + abs(stages[2]))
 
 
-def test_heuristic_mic_block_kept_warm_start_reports_gap():
+def test_heuristic_mic_block_kept_warm_start_reports_gap(monkeypatch):
     # a zero stage-3 budget keeps the stage-2 point; its gap must stay finite
+    monkeypatch.setattr(engine, "_stage_budgets", lambda request: (10.0, 10.0, 0.0))
     inst = make_mic(1000.0)
-    sol = staged_clear(inst, ClearingRequest(stage_time_budgets=(10.0, 10.0, 0.0)))
+    sol = staged_clear(inst, ClearingRequest())
     assert sol.solver_status == "feasible_gap"
     assert np.isfinite(sol.solver_gap)
     assert verify_equilibrium(inst, sol).overall_pass
@@ -182,10 +179,11 @@ def test_staged_matches_exact_on_seeded_instances():
 
 
 def test_heuristics_flag_infeasible_budget():
-    # a zero-budget first stage must surface as a ClearingError, not hang
+    # a near-zero time limit leaves stage 1 a quarter of it; that must
+    # surface as a ClearingError, not hang
     inst = make_mic(1000.0)
     with pytest.raises(ClearingError):
-        staged_clear(inst, ClearingRequest(stage_time_budgets=(1e-9, 10.0, 10.0)))
+        staged_clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=4e-9)))
 
 
 def test_solution_reports_gap_and_status():
@@ -255,6 +253,43 @@ def test_spent_time_limit_falls_through_to_the_mip(monkeypatch):
     assert calls == [None]
 
 
+class _CountingBackend:
+    """Delegates to the bundled backend and records the kind of each call."""
+
+    def __init__(self, calls):
+        self.inner = be.get_backend("scipy-highs")
+        self.calls = calls
+
+    def solve_mip(self, model, options=be.SolveOptions()):
+        self.calls.append("mip")
+        return self.inner.solve_mip(model, options)
+
+    def solve_lp(self, model, options=be.SolveOptions()):
+        self.calls.append("lp")
+        return self.inner.solve_lp(model, options)
+
+
+def test_registry_is_the_route_to_the_backend(monkeypatch):
+    calls = []
+    monkeypatch.setitem(be._REGISTRY, "counting", _CountingBackend(calls))
+    monkeypatch.setenv("DAMCLEAR_BACKEND", "counting")
+    real_resolve = be.resolve_duals
+
+    def resolve(*args, **kwargs):
+        calls.append("resolve")
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(be, "resolve_duals", resolve)
+    # an uncertified start: one MIP, then the resolve's LP
+    inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
+    assert verify_equilibrium(inst, clear(inst, ClearingRequest())).overall_pass
+    assert calls == ["mip", "resolve", "lp"]
+    calls.clear()
+    inst = make_mic(1000.0)
+    assert verify_equilibrium(inst, staged_clear(inst, ClearingRequest())).overall_pass
+    assert calls == ["mip", "mip", "mip", "resolve", "lp"]
+
+
 def test_clear_matches_mip_only_reference_on_seeded_instances():
     value = {
         "welfare": lambda s: s.welfare,
@@ -268,7 +303,7 @@ def test_clear_matches_mip_only_reference_on_seeded_instances():
                 request = ClearingRequest(objective=objective, rules=rules)
                 model = build_request_model(inst, request)
                 outcome = be.solve_mip(model, request.solve_options)
-                want = get(engine._finalize(inst, model, outcome, request, None))
+                want = get(engine._finalize(inst, model, outcome, request))
                 got = get(clear(inst, request))
                 case = (seed, rules, objective)
                 assert abs(got - want) <= 1e-6 * (1.0 + abs(want)), (case, got, want)
