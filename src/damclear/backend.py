@@ -24,9 +24,10 @@ from one solve of the same model's LP relaxation (no time limit).
 LpSession keeps one model's LP relaxation on a persistent HiGHS object:
 it solves the relaxation once, then checks acceptance selections by
 changing only the y/u column bounds and re-running from the previous
-basis. Its relaxation objective is HiGHS's LP optimum at the options'
-LP tolerance, which is what the engine uses as the bound of a rounded
-start. solve_lp runs a one-shot session and returns its relaxation.
+basis. Its relaxation objective is HiGHS's LP optimum at
+LP_FEASIBILITY_TOL, which is what the engine uses as the bound of a
+rounded start. solve_lp runs a one-shot session and returns its
+relaxation; resolve_duals is one solve_lp with the selection fixed.
 
 HiGHS prints a few MIP messages with a raw printf that ignores its output
 flag; solve_mip captures fd 1 around the solve and counts them in the
@@ -54,6 +55,8 @@ from scipy.optimize._highspy import _core as _highspy
 from .milp import MilpModel
 
 _WS_VALIDATION_TOL = 1e-5
+LP_FEASIBILITY_TOL = 1e-9  # HiGHS's primal (and, for LPs, dual) feasibility tolerance
+_STALL_RESIDUAL_TOL = 1e-6  # an LP that stops Unknown within this residual is optimal
 # HiGHS's MIP feasibility tolerance; a binary within it of 0 or 1 counts as integral
 INTEGER_FEASIBILITY_TOL = 1e-6
 _STATUS = _highspy.HighsModelStatus
@@ -73,20 +76,16 @@ class SolveOptions:
     relative_gap_target is the MIP's stopping gap. warm_start is a full
     column vector; it falls back to the model's own warm_start slot when
     absent. thread_count and random_seed go to HiGHS as given (None keeps
-    its default).
+    its default). The LP tolerance is the constant LP_FEASIBILITY_TOL.
     """
 
     time_limit: Optional[float] = None
     relative_gap_target: float = 1e-6
-    lp_feasibility_tol: float = 1e-9
     thread_count: Optional[int] = None
     warm_start: Optional[np.ndarray] = None
     random_seed: Optional[int] = None
-    presolve: bool = True
 
     def __post_init__(self):
-        if self.lp_feasibility_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.relative_gap_target < 0:
             raise ValueError("gap targets must be >= 0")
 
@@ -147,10 +146,10 @@ def _highs_options(options: SolveOptions):
     pairs = [
         ("output_flag", False),
         ("log_to_console", False),
-        ("presolve", "on" if options.presolve else "off"),
+        ("presolve", "on"),
         ("mip_rel_gap", float(options.relative_gap_target)),
         ("mip_feasibility_tolerance", INTEGER_FEASIBILITY_TOL),
-        ("primal_feasibility_tolerance", float(options.lp_feasibility_tol)),
+        ("primal_feasibility_tolerance", LP_FEASIBILITY_TOL),
     ]
     if options.time_limit is not None:
         pairs.append(("time_limit", float(options.time_limit)))
@@ -249,13 +248,16 @@ def _no_point(status, wall: float, message: str) -> SolveOutcome:
 class LpSession:
     """A model's LP relaxation on one persistent HiGHS object.
 
-    The constructor solves the relaxation once (integrality cleared, the
-    options' LP tolerance, presolve as requested) into ``relaxation``.
-    Each fix() then changes only the y/u column bounds and re-runs with
-    presolve off, so HiGHS starts from the previous basis. The options'
-    time_limit caps the session as a whole: once it has run out, a solve
-    returns time_limit_no_solution without running. ``lp_count`` counts
-    the LPs run.
+    The constructor solves the relaxation once (integrality cleared,
+    LP_FEASIBILITY_TOL, presolve on) into ``relaxation``. Each fix() then
+    changes only the y/u column bounds and re-runs with presolve off, so
+    HiGHS starts from the previous basis. The options' time_limit caps the
+    session as a whole: once it has run out, a solve returns
+    time_limit_no_solution without running. ``lp_count`` counts the LPs
+    run. A run that stops Unknown (HiGHS stalls on the optimal face the
+    objective-equality row pins) is optimal when HiGHS's primal and dual
+    infeasibilities of its point are within _STALL_RESIDUAL_TOL, and says
+    so in its message; otherwise it is solver_failed.
     """
 
     def __init__(self, model: MilpModel, options: SolveOptions = SolveOptions()):
@@ -273,9 +275,9 @@ class LpSession:
         self._highs = _new_highs(lp, (
             ("output_flag", False),
             ("log_to_console", False),
-            ("presolve", "on" if options.presolve else "off"),
-            ("primal_feasibility_tolerance", float(options.lp_feasibility_tol)),
-            ("dual_feasibility_tolerance", float(options.lp_feasibility_tol)),
+            ("presolve", "on"),
+            ("primal_feasibility_tolerance", LP_FEASIBILITY_TOL),
+            ("dual_feasibility_tolerance", LP_FEASIBILITY_TOL),
         ))
         self.relaxation = self._run()
         _set_option(self._highs, "presolve", "off")
@@ -302,9 +304,17 @@ class LpSession:
         status = self._highs.getModelStatus()
         wall = time.perf_counter() - t0
         message = self._highs.modelStatusToString(status)
+        solution = self._highs.getSolution()
+        if status == _STATUS.kUnknown and solution.value_valid:
+            info = self._highs.getInfo()
+            primal, dual = info.max_primal_infeasibility, info.max_dual_infeasibility
+            if max(primal, dual) <= _STALL_RESIDUAL_TOL:
+                status = _STATUS.kOptimal
+                message += (f"; certified optimal by its residuals: primal {primal:.1e}, "
+                            f"dual {dual:.1e} <= {_STALL_RESIDUAL_TOL:g}")
         if status != _STATUS.kOptimal:
             return _no_point(status, wall, message)
-        x = np.array(self._highs.getSolution().col_value)
+        x = np.array(solution.col_value)
         obj = float(self._model.objective @ x)
         return SolveOutcome("optimal", obj, x, wall, best_bound=obj, mip_gap=0.0, message=message)
 
@@ -455,11 +465,9 @@ def resolve_duals(model: MilpModel, y, u, options: SolveOptions = SolveOptions()
 
     The primal-dual column structure means the LP solution itself carries
     consistent prices and surpluses for the fixed selection; an infeasible
-    outcome signals an invalid selection. The objective-equality row pins
-    this LP to an optimal face with no relative interior, which large
-    instances cannot hold to tight absolute tolerances in floating point,
-    so a failed solve is retried on a tolerance ladder up to 1e-6 (and
-    finally without presolve) before the failure is reported.
+    outcome signals an invalid selection. It is one solve_lp of the fixed
+    model through the registry's backend (see LpSession for how a stalled
+    run is certified).
     """
     fixed = model.copy()
     ys = fixed.roles["y"]
@@ -473,16 +481,4 @@ def resolve_duals(model: MilpModel, y, u, options: SolveOptions = SolveOptions()
     fixed.lb[us] = u
     fixed.ub[us] = u
     fixed.warm_start = None
-    solver = get_backend()
-    out = solver.solve_lp(fixed, options)
-    if out.status == "optimal":
-        return out
-    loose = max(options.lp_feasibility_tol, 1e-6)
-    for attempt in (
-        replace(options, lp_feasibility_tol=loose),
-        replace(options, lp_feasibility_tol=loose, presolve=False),
-    ):
-        out = solver.solve_lp(fixed, attempt)
-        if out.status == "optimal":
-            return out
-    return out
+    return get_backend().solve_lp(fixed, options)

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from scipy.sparse import diags
 
 from damclear import backend as bk
-from damclear import milp
+from damclear import engine, milp
 from damclear.engine import ClearingRequest, build_request_model
 from damclear.fileio import GeneratorConfig, generate
 
@@ -51,8 +51,6 @@ def _linprog_objective(model):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        bk.SolveOptions(lp_feasibility_tol=0.0)
     with pytest.raises(ValueError):
         bk.SolveOptions(relative_gap_target=-1.0)
 
@@ -224,14 +222,17 @@ def test_highs_private_api_is_present():
     for name in ("HighsLp", "HighsSolution", "HighsVarType", "HighsModelStatus",
                  "HighsStatus", "ObjSense", "MatrixFormat"):
         assert hasattr(_core, name), name
+    assert hasattr(_core.HighsModelStatus, "kUnknown")
     highs = _core._Highs()
     for name in ("passModel", "setOptionValue", "setSolution", "run",
                  "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
                  "changeColsBounds"):
         assert callable(getattr(highs, name, None)), name
     info = highs.getInfo()
-    for name in ("mip_dual_bound", "mip_gap", "mip_node_count", "objective_function_value"):
+    for name in ("mip_dual_bound", "mip_gap", "mip_node_count", "objective_function_value",
+                 "max_primal_infeasibility", "max_dual_infeasibility"):
         assert hasattr(info, name), name
+    assert hasattr(highs.getSolution(), "value_valid")
 
 
 def test_registry_and_env_selection(monkeypatch):
@@ -344,3 +345,59 @@ def test_solver_failure_keeps_a_validated_warm_start(monkeypatch):
     assert kept.status == "feasible_gap" and kept.used_warm_start
     assert kept.objective == pytest.approx(450.0, abs=1e-6)
     assert kept.mip_gap is not None and "bound from the LP relaxation" in kept.message
+
+
+def _day_model(seed):
+    """The 2 x 24 benchmark day at this seed, cleared under pcr at gap 0.002."""
+    inst = generate(GeneratorConfig(
+        seed=seed, locations=("N1", "N2"), periods=tuple(f"T{h}" for h in range(1, 25)),
+        demand_steps=27, supply_steps=26, n_blocks=20, n_mic=8, max_mic_suborders=24,
+    ))
+    request = ClearingRequest(rules="pcr", solve_options=bk.SolveOptions(relative_gap_target=0.002))
+    return build_request_model(inst, request), request
+
+
+def test_stalled_resolve_is_certified_in_one_solve(monkeypatch):
+    # HiGHS stops this fixed-selection LP with status Unknown at a point
+    # whose primal residual is 6.7e-7
+    m, request = _day_model(2)
+    start = engine._relaxation_start(m, request)
+    assert start.status == "optimal"
+    calls = []
+    real_solve_lp = bk.ScipyHighsBackend.solve_lp
+
+    def counted_solve_lp(self, *args, **kwargs):
+        calls.append(args)
+        return real_solve_lp(self, *args, **kwargs)
+
+    monkeypatch.setattr(bk.ScipyHighsBackend, "solve_lp", counted_solve_lp)
+    out = bk.resolve_duals(m, **engine._selection(m, start))
+    assert out.status == "optimal"
+    assert len(calls) == 1
+    assert out.message.startswith("Unknown; certified optimal by its residuals"), out.message
+    assert abs(out.objective - start.objective) <= 1e-9 * (1.0 + abs(start.objective))
+
+
+def test_stall_with_large_residuals_is_solver_failed(monkeypatch):
+    # the relaxation start's 4th LP on this day stops Unknown at a point
+    # with primal residual 1.9e5; replayed on a fresh session it must fail
+    m, request = _day_model(8)
+    selections = []
+    real_fix = bk.LpSession.fix
+
+    def recorded_fix(self, y, u):
+        selections.append((np.copy(y), np.copy(u)))
+        return real_fix(self, y, u)
+
+    monkeypatch.setattr(bk.LpSession, "fix", recorded_fix)
+    engine._relaxation_start(m, request)
+    monkeypatch.undo()
+    assert len(selections) >= 3
+    session = bk.LpSession(m, request.solve_options)
+    for y, u in selections[:2]:
+        session.fix(y, u)
+    out = session.fix(*selections[2])
+    assert session.lp_count == 4
+    assert out.status == "solver_failed" and not out.has_solution
+    assert out.message == "Unknown"
+    assert session._highs.getInfo().max_primal_infeasibility > bk._STALL_RESIDUAL_TOL

@@ -206,14 +206,24 @@ def _count_mip_calls(monkeypatch):
 
 
 def test_certified_relaxation_start_skips_the_mip(monkeypatch):
+    # the start's own fixed-selection LP prices it: no MIP and no resolve
     inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
     calls = _count_mip_calls(monkeypatch)
+    resolves = []
+    real_resolve = be.resolve_duals
+
+    def resolve(*args, **kwargs):
+        resolves.append(args)
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(be, "resolve_duals", resolve)
     for rules in ("pcr", "umfs"):
         sol = clear(inst, ClearingRequest(rules=rules))
         assert sol.solver_status == "optimal"
         assert sol.solver_gap <= ClearingRequest().solve_options.relative_gap_target
         assert verify_equilibrium(inst, sol, rules=rules).overall_pass
     assert calls == []
+    assert resolves == []
 
 
 def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch):
