@@ -4,9 +4,9 @@ clear() is the single-shot path: build the primal-dual model for the
 requested rules and objective and round its LP relaxation into an
 admissible selection. A start that the relaxation bound certifies keeps
 the prices and surpluses of the LP that checked its selection. Otherwise
-the MILP is solved from that start and the LP is re-solved with the
-winning selection fixed to obtain clean prices and surpluses (duals are
-never trusted from the integer search). staged_clear() is the staged
+the MILP is solved from that start; unless it keeps the start, the LP is
+re-solved with the winning selection fixed to get clean prices (duals
+are never trusted from the integer search). staged_clear() is the staged
 variant for hard instances: two objective-specific stages on the request's
 model, then one warm-started solve of the full model; each stage can only
 improve on its predecessor.
@@ -272,21 +272,22 @@ def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> C
     (_relaxation_start). A start within relative_gap_target of the
     relaxation bound is certified and the MIP is skipped; otherwise the
     start becomes the MIP's warm start and the MIP gets what is left of the
-    time limit. A certified start is priced by the LP that checked its
-    selection; a MIP outcome by _finalize's resolve.
+    time limit. A certified start, or one the MIP keeps, is priced by the
+    LP that checked its selection; any other MIP outcome by _finalize.
     """
     validate_instance(instance)
     model = build_request_model(instance, request)
     t0 = time.perf_counter()
-    outcome = _relaxation_start(model, request)
-    if outcome is not None and outcome.status == "optimal":
-        return assemble_solution(instance, model, outcome.columns, solver_gap=outcome.mip_gap)
-    if outcome is not None:
-        model.warm_start = outcome.columns
-    limit = request.solve_options.time_limit
-    left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
-    outcome = be.solve_mip(model, _mip_options(request, left))
-    return _finalize(instance, model, outcome, request)
+    outcome = start = _relaxation_start(model, request)
+    if start is None or start.status != "optimal":
+        if start is not None:
+            model.warm_start = start.columns
+        limit = request.solve_options.time_limit
+        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
+        outcome = be.solve_mip(model, _mip_options(request, left))
+    if start is None or not np.array_equal(outcome.columns, start.columns):
+        return _finalize(instance, model, outcome, request)
+    return assemble_solution(instance, model, start.columns, _gap_of(outcome), outcome.status)
 
 
 def _pinned(model: milp.MilpModel, **values) -> milp.MilpModel:

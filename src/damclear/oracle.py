@@ -14,7 +14,8 @@ The polytope's matrix does not depend on the selection, so it is assembled
 once per instance and rule set, with every column. A selection changes
 only bounds (the suborder caps of its MIC bids and the dual slacks it
 switches off) and right-hand sides (the accepted blocks' balance and
-welfare terms, the accepted MIC bids' fixed costs). Two LPs run over it:
+welfare terms, the accepted MIC bids' fixed costs). Two LPs run over it,
+each one HiGHS solve through linprog (see _LP_OPTIONS):
 
 1. traded volume is maximized, which doubles as the feasibility probe;
    the selection's welfare is read at that point;
@@ -41,10 +42,10 @@ from .model import ClearingSolution, Instance, InstanceIndex, validate_instance
 GUARD = 20
 
 # the face sits on the objective-equality hyperplane and has no relative
-# interior; tight simplex can stall or mis-declare it infeasible, so fall
-# through to gentler configurations and trust an infeasible verdict only
-# from the last rung
-_RUNGS = (("highs", 1e-9), ("highs", 1e-7), ("highs-ipm", 1e-9))
+# interior; with presolve on, HiGHS called such a face infeasible although
+# it had a point (sweep-family seed 111 under umfs), so presolve stays off
+_LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-9,
+               "dual_feasibility_tolerance": 1e-9}
 
 
 class OracleGuardError(ValueError):
@@ -203,26 +204,18 @@ class _Face:
         self.c_compensation[cols["dr"]] = 1.0
 
     def _solve(self, c, b_ub, b_eq, bounds):
-        res = None
-        for method, tol in _RUNGS:
-            res = linprog(
-                c, A_ub=self.A_ub, b_ub=b_ub,
-                A_eq=self.A_eq, b_eq=b_eq, bounds=bounds, method=method,
-                options={"presolve": True, "primal_feasibility_tolerance": tol,
-                         "dual_feasibility_tolerance": tol},
-            )
-            if res.status in (0, 3):
-                return res
-        return res
+        return linprog(c, A_ub=self.A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=b_eq, bounds=bounds,
+                       method="highs", options=_LP_OPTIONS)
 
     def extremes(self, y, u):
         """(welfare, max volume, min compensation, witness) at a selection.
 
-        Returns None when the polytope is empty (selection not
-        supportable). Optimality is pinned intrinsically by the pin row; no
-        externally computed welfare value enters the system, so the face
-        is exact: a pinning corridor of width e would be amplified into
-        the compensation minimum by the rejected blocks' price sensitivity.
+        Returns None when the volume probe finds the polytope empty
+        (selection not supportable); any other non-optimal LP raises.
+        Optimality is pinned intrinsically by the pin row; no externally
+        computed welfare value enters the system, so the face is exact: a
+        pinning corridor of width e would be amplified into the
+        compensation minimum by the rejected blocks' price sensitivity.
         """
         idx, cols = self.idx, self.cols
         b_eq = self.b_eq.copy()
@@ -241,9 +234,11 @@ class _Face:
         vol = self._solve(-self.c_volume, b_ub, b_eq, bounds)
         if vol.status == 2:
             return None
-        comp = self._solve(self.c_compensation, b_ub, b_eq, bounds) if vol.status == 0 else vol
+        if vol.status != 0:
+            raise self._failure("volume probe", vol, y, u)
+        comp = self._solve(self.c_compensation, b_ub, b_eq, bounds)
         if comp.status != 0:
-            raise RuntimeError("face LPs failed at every solver rung")
+            raise self._failure("compensation", comp, y, u)
         witness = {
             "x": vol.x[cols["x"]],
             "x_mic": vol.x[cols["xm"]],
@@ -256,6 +251,16 @@ class _Face:
             witness,
         )
 
+    def _failure(self, lp: str, res, y, u) -> RuntimeError:
+        blocks, mic = _accepted(self.idx.instance, y, u)
+        return RuntimeError(f"oracle {lp} LP failed for accepted blocks {blocks} and MIC bids {mic}: "
+                            f"linprog status {res.status}: {res.message}")
+
+
+def _accepted(instance: Instance, y, u) -> tuple:
+    return (tuple(b.id for b, on in zip(instance.block_bids, y) if on),
+            tuple(c.id for c, on in zip(instance.mic_bids, u) if on))
+
 
 def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOracleResult:
     """Ground-truth optima for every objective under one rule set.
@@ -266,9 +271,7 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
     validate_instance(instance)
     if rules not in ("pcr", "umfs"):
         raise ValueError(f"unknown rules {rules!r}")
-    block_ids = [b.id for b in instance.block_bids]
-    mic_ids = [c.id for c in instance.mic_bids]
-    nJ, nb = len(block_ids), len(block_ids) + len(mic_ids)
+    nJ, nb = len(instance.block_bids), len(instance.block_bids) + len(instance.mic_bids)
     if nb > GUARD:
         raise OracleGuardError(f"{nb} binaries exceed the enumeration guard of {GUARD}")
     face = _Face(instance, rules)
@@ -282,13 +285,7 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
         if got is None:
             continue
         welfare, vol, oc, witness = got
-        records.append(SelectionRecord(
-            accepted_blocks=tuple(b for b, on in zip(block_ids, y) if on),
-            accepted_mic=tuple(c for c, on in zip(mic_ids, u) if on),
-            welfare=welfare,
-            max_volume=vol,
-            min_opportunity_cost=oc,
-        ))
+        records.append(SelectionRecord(*_accepted(instance, y, u), welfare, vol, oc))
         witnesses.append(witness)
     if not records:
         raise RuntimeError("no admissible selection; the all-rejected one must exist")

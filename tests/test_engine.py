@@ -290,8 +290,16 @@ def test_registry_is_the_route_to_the_backend(monkeypatch):
         return real_resolve(*args, **kwargs)
 
     monkeypatch.setattr(be, "resolve_duals", resolve)
-    # an uncertified start: one MIP, then the resolve's LP
+    # an uncertified start that the MIP keeps: the start's own LP priced it
     inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
+    sol = clear(inst, ClearingRequest())
+    assert verify_equilibrium(inst, sol).overall_pass
+    assert sol.solver_status == "optimal"
+    assert sol.solver_gap <= ClearingRequest().solve_options.relative_gap_target
+    assert calls == ["mip"]
+    calls.clear()
+    # a MIP that beats its start: one MIP, then the resolve's LP
+    inst = generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
     assert verify_equilibrium(inst, clear(inst, ClearingRequest())).overall_pass
     assert calls == ["mip", "resolve", "lp"]
     calls.clear()

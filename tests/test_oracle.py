@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from damclear import oracle
 from damclear.backend import resolve_duals
 from damclear.engine import ClearingRequest, clear
 from damclear.fileio import GeneratorConfig, generate
@@ -160,3 +162,61 @@ def test_every_selection_matches_the_milp_resolve(rules):
                 assert abs(out.objective - w) <= 1e-9 * (1.0 + abs(w)), (seed, key)
             checked += 1
     assert checked == 127 * 7
+
+
+def _seed_111():
+    # sweep family: seed 111 has 6 blocks and no MIC bid
+    return generate(GeneratorConfig(seed=111, n_blocks=6, n_mic=0))
+
+
+@pytest.mark.parametrize("rules", ("pcr", "umfs"))
+@pytest.mark.parametrize("make", (make_toy, _seed_111))
+def test_each_face_lp_is_one_solve(monkeypatch, make, rules):
+    # an admissible selection runs the volume probe and the compensation
+    # LP, an inadmissible one only the probe; nothing is solved twice
+    calls = []
+    real = oracle.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counted)
+    res = enumerate_selections(make(), rules=rules)
+    admissible = len(res.records)
+    assert len(calls) == 2 * admissible + (res.n_selections - admissible)
+    assert set(calls) == {"highs"}
+
+
+def test_seed_111_umfs_enumerates_and_matches_clear():
+    # with presolve on, HiGHS calls the compensation LP of the selection
+    # that accepts only the third block infeasible, although the volume LP
+    # has just found a point on the same polytope
+    inst = _seed_111()
+    res = enumerate_selections(inst, rules="umfs")
+    assert res.n_selections == 64
+    for objective in ("welfare", "volume", "min_opportunity_cost"):
+        sol = clear(inst, ClearingRequest(objective=objective, rules="umfs"))
+        ok, details = cross_check(inst, "umfs", objective, sol, res)
+        assert ok, details
+
+
+@pytest.mark.parametrize("failing_call, lp", ((2, "volume probe"), (3, "compensation")))
+def test_a_failed_face_lp_names_the_lp_and_the_selection(monkeypatch, failing_call, lp):
+    # on the toy, selection () runs calls 0 and 1, selection ("C",) calls 2 and 3
+    calls = []
+    real = oracle.linprog
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == failing_call:
+            return OptimizeResult(status=4, message="numerical difficulties")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", failing)
+    want = (
+        rf"oracle {lp} LP failed for accepted blocks \('C',\) and MIC bids \(\): "
+        r"linprog status 4: numerical difficulties"
+    )
+    with pytest.raises(RuntimeError, match=want):
+        enumerate_selections(make_toy())
