@@ -6,8 +6,8 @@ named by the DAMCLEAR_BACKEND environment variable, else the bundled
 implementation. That one sits on scipy's own HiGHS bindings
 (scipy.optimize._highspy): one HiGHS object per MIP solve, and one
 LpSession per LP solve. LpSession itself does not go through the registry:
-it always runs the bundled HiGHS, and so does the relaxation start of
-engine.clear, which uses it directly.
+it always runs the bundled HiGHS, and so does the engine's
+relaxation-rounding start, which uses it directly.
 
 Outcomes carry no solver duals: prices, surpluses and compensations are
 columns of the primal-dual model, so an LP solve returns them in columns.
@@ -17,9 +17,9 @@ HiGHS as its incumbent (setSolution), so a start that already meets the
 gap target is certified by the root bound instead of being searched for
 again. When the solver returns nothing better than the start (it
 accepted the start, or rejected it and found nothing), the start itself
-is returned. A kept start carries the solver's dual bound; when HiGHS
-reports none (a zero time limit leaves it at infinity), the bound comes
-from one solve of the same model's LP relaxation (no time limit).
+is returned. A kept start carries the solver's dual bound, or none when
+HiGHS reports none (a zero time limit leaves it at infinity); the engine
+then gives it the relaxation bound of its start.
 
 LpSession keeps one model's LP relaxation on a persistent HiGHS object:
 it solves the relaxation once, then checks acceptance selections by
@@ -71,8 +71,8 @@ class SolveOptions:
     """Solver controls; defaults are tighter than solver defaults because
     the big-M rows amplify integer slack into price error.
 
-    time_limit is wall seconds (None = unlimited); engine.clear gives it to
-    the whole clear and engine.staged_clear splits it across its stages.
+    time_limit is wall seconds (None = unlimited); the engine gives it to
+    a clear as a whole (see engine.ClearingRequest).
     relative_gap_target is the MIP's stopping gap. warm_start is a full
     column vector; it falls back to the model's own warm_start slot when
     absent. thread_count and random_seed go to HiGHS as given (None keeps
@@ -99,8 +99,7 @@ class SolveOutcome:
     relative gap at termination (an optimal LP reports its objective and
     0); a MIP solve of a model without integer columns reports neither.
     used_warm_start means the returned point is the warm start; its bound
-    is the solver's or, when the solver gives none, the objective of one
-    LP-relaxation solve of the same model, and its mip_gap is
+    is the solver's (None when the solver gives none) and its mip_gap
     |best_bound - objective| / (1 + |objective|). message carries HiGHS's
     status string and notes on the warm start.
     """
@@ -373,22 +372,13 @@ class ScipyHighsBackend:
                 # the solver's incumbent is the start, or it rejected the
                 # start and found nothing better: keep the warm point
                 bound = out.best_bound
-                note = "kept warm point"
-                if bound is None:
-                    # no finite dual bound (for instance a zero time limit)
-                    relax = self.solve_lp(model, replace(options, time_limit=None, warm_start=None))
-                    if relax.status == "optimal":
-                        bound = relax.objective
-                        note += "; bound from the LP relaxation"
-                    else:
-                        note += f"; no bound (LP relaxation {relax.status})"
-                gap = None if bound is None else abs(bound - ws_obj) / (1 + abs(ws_obj))
                 return replace(
                     out, status="optimal" if out.status == "optimal" else "feasible_gap",
                     objective=ws_obj, columns=ws.copy(),
-                    best_bound=bound, mip_gap=gap, used_warm_start=True,
+                    mip_gap=None if bound is None else abs(bound - ws_obj) / (1 + abs(ws_obj)),
+                    used_warm_start=True,
                     wall_time=time.perf_counter() - t0,
-                    message=ws_note + note + "; " + out.message,
+                    message=ws_note + "kept warm point; " + out.message,
                 )
         if ws_note:
             out = replace(out, message=ws_note + out.message)

@@ -232,7 +232,11 @@ def _build_parser() -> _Parser:
     def solver_flags(p):
         p.add_argument("--objective", choices=tuple(_OBJ_FROM_FLAG), default="welfare")
         p.add_argument("--rules", choices=("pcr", "umfs"), default="pcr")
-        p.add_argument("--heuristic", choices=("off", "staged"), default="off")
+        p.add_argument(
+            "--heuristic", choices=("off", "staged"), default="off",
+            help="staged: when the LP-relaxation start is not certified, run two "
+            "objective-specific MIP stages before the full MIP (default: off)",
+        )
         p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
         p.add_argument("--gap", type=float, default=SolveOptions.relative_gap_target, metavar="FRACTION")
         p.add_argument("--seed", type=int, default=None)

@@ -1,15 +1,15 @@
 """Clearing pipelines.
 
-clear() is the single-shot path: build the primal-dual model for the
-requested rules and objective and round its LP relaxation into an
-admissible selection. A start that the relaxation bound certifies keeps
-the prices and surpluses of the LP that checked its selection. Otherwise
-the MILP is solved from that start; unless it keeps the start, the LP is
-re-solved with the winning selection fixed to get clean prices (duals
-are never trusted from the integer search). staged_clear() is the staged
-variant for hard instances: two objective-specific stages on the request's
-model, then one warm-started solve of the full model; each stage can only
-improve on its predecessor.
+clear() and staged_clear() share one pipeline. It builds the primal-dual
+model for the requested rules and objective and rounds its LP relaxation
+into an admissible selection (stage 0). A start that the relaxation
+bound certifies keeps the prices and surpluses of the LP that checked its
+selection. Otherwise one MILP solve starts from it; staged_clear() first
+runs two objective-specific stages (1 and 2) and starts that solve
+(stage 3) from the better of the start and the stage-2 point. Unless the
+solve keeps the start, the LP is re-solved with the winning selection
+fixed to get clean prices (duals are never trusted from the integer
+search).
 
 Solutions come back canonicalized: coordinates the equilibrium leaves free
 (an accepted block's split between surplus and compensation, a rejected
@@ -43,8 +43,9 @@ class ClearingRequest:
 
     rules='pcr' forbids paradoxically accepted blocks (no losses, no
     compensations); rules='umfs' allows them, compensated through d_accept.
-    solve_options.time_limit bounds clear() as a whole; staged_clear()
-    splits it across its three stages (see _stage_budgets).
+    solve_options.time_limit bounds a clear as a whole: staged_clear()
+    gives stages 1 and 2 a quarter of it each, and the MIP gets what the
+    earlier stages left.
     """
 
     objective: str = "welfare"
@@ -79,21 +80,10 @@ def _mip_options(request: ClearingRequest, time_limit: Optional[float]) -> be.So
     return replace(request.solve_options, time_limit=time_limit)
 
 
-def _lp_options(request: ClearingRequest) -> be.SolveOptions:
-    return replace(request.solve_options, time_limit=None, warm_start=None)
-
-
-def _stage_budgets(request: ClearingRequest) -> tuple:
-    """staged_clear's per-stage time limits: a quarter, a quarter and a half
-    of the request's time limit; none without one."""
-    t = request.solve_options.time_limit
-    return (None, None, None) if t is None else (0.25 * t, 0.25 * t, 0.5 * t)
-
-
 def _gap_of(outcome: be.SolveOutcome) -> float:
-    # inf means no bound was reported: a kept warm start carries the
-    # solver's bound or, without one, its LP-relaxation bound (see
-    # backend.solve_mip); a model without integer columns reports none
+    # inf means no bound is known: a MIP outcome without the solver's
+    # bound carries the relaxation bound (see _clear); a model without
+    # integer columns has neither
     if outcome.mip_gap is not None:
         return float(outcome.mip_gap)
     if outcome.best_bound is not None and outcome.objective is not None:
@@ -175,7 +165,8 @@ def _finalize(
 ) -> ClearingSolution:
     if not outcome.has_solution:
         raise ClearingError(f"no feasible solution within budget (solver: {outcome.status})")
-    resolved = be.resolve_duals(model, **_selection(model, outcome), options=_lp_options(request))
+    options = replace(request.solve_options, time_limit=None, warm_start=None)
+    resolved = be.resolve_duals(model, **_selection(model, outcome), options=options)
     if resolved.status != "optimal":
         raise ClearingError(
             f"dual resolve failed for the incumbent selection: {resolved.status}"
@@ -190,14 +181,17 @@ _START_LPS = 16  # LPs the relaxation-rounding start may run, the relaxation inc
 _FULL_ROUNDINGS = 3  # up to this many fractional binaries, every rounding is tried
 
 
-def _mic_margins(model: milp.MilpModel, columns: np.ndarray) -> np.ndarray:
-    """Each MIC bid's income minus its costs at the point's prices, with
-    its suborders dispatched per unit of the bid's acceptance."""
+def _margins(model: milp.MilpModel, columns: np.ndarray) -> np.ndarray:
+    """Each bid's margin at the point's prices, blocks first: a block's
+    surplus if accepted, a MIC bid's income minus its costs with its
+    suborders dispatched per unit of the bid's acceptance."""
     idx = InstanceIndex(model.instance)
     r = model.roles
+    pi = columns[r["pi"]]
     u = columns[r["u"]][idx.sub_owner]
     x = np.clip(np.divide(columns[r["x_mic"]], u, out=np.zeros_like(u), where=u > 0), 0.0, 1.0)
-    return idx.mic_income(x, columns[r["pi"]]) - idx.mic_fixed - idx.mic_variable * idx.mic_sold_volume(x)
+    mic = idx.mic_income(x, pi) - idx.mic_fixed - idx.mic_variable * idx.mic_sold_volume(x)
+    return np.r_[idx.block_surplus(pi), mic]
 
 
 def _roundings(k: int):
@@ -208,61 +202,97 @@ def _roundings(k: int):
     return [np.zeros(k, dtype=bool)] + [np.arange(k) == j for j in range(k)]
 
 
-def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> Optional[be.SolveOutcome]:
-    """The best admissible selection rounded from the LP relaxation.
+def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
+    """The LP-relaxation bound and the best admissible selection rounded
+    from the relaxation, as (bound, start).
 
     One LpSession solves the relaxation and checks each candidate selection
     by fixing its binaries. Integral binaries keep their value; fractional
     ones are rounded (see _roundings). MIC bids whose minimum-income margin
-    is negative at the relaxation prices are rejected; while a selection
-    stays inadmissible, the accepted MIC bid with the weakest margin is
-    dropped too. The search stops after _START_LPS LPs or the request's time
-    limit. The outcome carries the relaxation objective as best_bound and
-    is 'optimal' when it is within relative_gap_target of that bound,
-    'feasible_gap' otherwise; None when nothing admissible was found.
+    is negative at the relaxation prices are rejected. While a selection
+    stays infeasible (or its hot-started LP fails), the accepted bid with
+    the weakest margin at the relaxation prices is dropped (_margins).
+    The search stops after _START_LPS LPs or the request's time limit. The
+    start carries the bound as best_bound and is 'optimal' when it is
+    within relative_gap_target of it, 'feasible_gap' otherwise. Either
+    part is None when it was not found: a model without binaries runs no
+    LP.
     """
     if not model.n_binary:
-        return None
+        return None, None
     session = be.LpSession(model, request.solve_options)
     relax = session.relaxation
     if relax.status != "optimal":
-        return None
+        return None, None
     ys, us = model.roles["y"], model.roles["u"]
     n_y = ys.stop - ys.start
     z = np.r_[relax.columns[ys], relax.columns[us]]
     frac = np.flatnonzero(np.abs(z - np.round(z)) > be.INTEGER_FEASIBILITY_TOL)
     floor = np.round(z)
     floor[frac] = 0.0
-    margin = _mic_margins(model, relax.columns)
+    margin = _margins(model, relax.columns)
     sign = 1.0 if model.objective_sense == "max" else -1.0
     best, tried = None, set()
     for up in _roundings(frac.size):
         sel = floor.copy()
         sel[frac[up]] = 1.0
-        u = sel[n_y:]  # a view: drops write through to sel
-        u[margin < 0] = 0.0
+        sel[n_y:][margin[n_y:] < 0] = 0.0
         while session.lp_count < _START_LPS and sel.tobytes() not in tried:
             tried.add(sel.tobytes())
-            out = session.fix(sel[:n_y], u)
+            out = session.fix(sel[:n_y], sel[n_y:])
             if out.status == "optimal":
                 if best is None or sign * out.objective > sign * best.objective:
                     best = out
                 break
-            accepted = np.flatnonzero(u > 0.5)
-            if out.status != "infeasible" or not accepted.size:
+            accepted = np.flatnonzero(sel > 0.5)
+            if out.status not in ("infeasible", "solver_failed") or not accepted.size:
                 break
-            u[accepted[np.argmin(margin[accepted])]] = 0.0
-    if best is None:
-        return None
+            sel[accepted[np.argmin(margin[accepted])]] = 0.0
     bound = relax.objective
+    if best is None:
+        return bound, None
     gap = abs(bound - best.objective) / (1.0 + abs(best.objective))
     certified = gap <= request.solve_options.relative_gap_target
-    return replace(
+    return bound, replace(
         best, status="optimal" if certified else "feasible_gap",
         best_bound=bound, mip_gap=gap, used_warm_start=True,
         message=f"LP-relaxation rounding, {session.lp_count} LPs, "
         + ("certified by the relaxation bound" if certified else "handed to the MIP as its start"),
     )
+
+
+def _clear(
+    instance: Instance, request: ClearingRequest, staged: bool, trace: Optional[dict] = None
+) -> ClearingSolution:
+    """The pipeline behind clear and staged_clear (see staged_clear)."""
+    validate_instance(instance)
+    model = build_request_model(instance, request)
+    t0 = time.perf_counter()
+    bound, start = _relaxation_start(model, request)
+    outcome = warm = start
+    objectives = [None if start is None else start.objective]
+    if start is None or start.status != "optimal":
+        limit = request.solve_options.time_limit
+        if staged:
+            stages = _mic_then_blocks if request.objective == "welfare" else _welfare_then_target
+            out1, out2 = stages(model, _mip_options(request, None if limit is None else 0.25 * limit))
+            objectives += [out1.objective, out2.objective]
+            sign = 1.0 if model.objective_sense == "max" else -1.0
+            # on a tie within rounding noise the start, already priced, stays
+            if out2.has_solution and (start is None or sign * (out2.objective - start.objective)
+                                      > 1e-9 * (1.0 + abs(start.objective))):
+                warm = out2
+        model.warm_start = None if warm is None else warm.columns
+        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
+        outcome = be.solve_mip(model, _mip_options(request, left))
+        objectives.append(outcome.objective)
+        if outcome.best_bound is None:
+            outcome = replace(outcome, best_bound=bound)
+    if trace is not None:
+        trace["stage_objectives"] = objectives
+    if start is None or not np.array_equal(outcome.columns, start.columns):
+        return _finalize(instance, model, outcome, request)
+    return assemble_solution(instance, model, start.columns, _gap_of(outcome), outcome.status)
 
 
 def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> ClearingSolution:
@@ -275,19 +305,7 @@ def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> C
     time limit. A certified start, or one the MIP keeps, is priced by the
     LP that checked its selection; any other MIP outcome by _finalize.
     """
-    validate_instance(instance)
-    model = build_request_model(instance, request)
-    t0 = time.perf_counter()
-    outcome = start = _relaxation_start(model, request)
-    if start is None or start.status != "optimal":
-        if start is not None:
-            model.warm_start = start.columns
-        limit = request.solve_options.time_limit
-        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
-        outcome = be.solve_mip(model, _mip_options(request, left))
-    if start is None or not np.array_equal(outcome.columns, start.columns):
-        return _finalize(instance, model, outcome, request)
-    return assemble_solution(instance, model, start.columns, _gap_of(outcome), outcome.status)
+    return _clear(instance, request, staged=False)
 
 
 def _pinned(model: milp.MilpModel, **values) -> milp.MilpModel:
@@ -303,66 +321,51 @@ def _selection(model: milp.MilpModel, outcome: be.SolveOutcome) -> dict:
     return {role: np.round(outcome.columns[model.roles[role]]) for role in ("y", "u")}
 
 
-def _mic_then_blocks(model, request):
+def _mic_then_blocks(model, options):
     """Stages 1 and 2 for welfare: MIC bids with every block rejected, then
     the blocks under that frozen MIC selection, warm-started."""
-    b1, b2, _ = _stage_budgets(request)
-    out1 = be.solve_mip(_pinned(model, y=0.0), _mip_options(request, b1))
+    out1 = be.solve_mip(_pinned(model, y=0.0), options)
     if not out1.has_solution:
-        raise ClearingError(f"stage 1 found nothing within budget ({out1.status})")
+        return out1, out1  # no MIC selection to freeze
     m2 = _pinned(model, u=_selection(model, out1)["u"])
-    m2.warm_start = out1.columns.copy()
-    out2 = be.solve_mip(m2, _mip_options(request, b2))
-    return out1, (out2 if out2.has_solution else out1)
+    m2.warm_start = out1.columns
+    return out1, be.solve_mip(m2, options)
 
 
-def _welfare_then_target(model, request):
+def _welfare_then_target(model, options):
     """Stages 1 and 2 for volume and min-oc: maximize welfare on a copy of
     the model, then re-optimize the request's objective over that selection."""
-    b1, b2, _ = _stage_budgets(request)
     welfare = model.copy()
     milp.set_objective(welfare, "welfare")
-    out1 = be.solve_mip(welfare, _mip_options(request, b1))
+    out1 = be.solve_mip(welfare, options)
     if not out1.has_solution:
-        raise ClearingError(f"welfare stage found nothing within budget ({out1.status})")
-    out2 = be.resolve_duals(
-        model, **_selection(model, out1), options=replace(_lp_options(request), time_limit=b2 or None)
-    )
-    if out2.status != "optimal":
-        raise ClearingError(f"{request.objective} stage-b LP failed: {out2.status}")
-    return out1, out2
+        return out1, out1  # no selection to re-optimize over
+    return out1, be.resolve_duals(model, **_selection(model, out1), options=replace(options, warm_start=None))
 
 
 def staged_clear(
     instance: Instance, request: ClearingRequest = ClearingRequest(), trace: Optional[dict] = None
 ) -> ClearingSolution:
-    """Three-stage search for hard instances, on the request's one model.
+    """clear with two objective-specific stages in front of its MIP.
 
+    Stage 0 is clear's relaxation-rounding start; a certified start is
+    returned as it is, and the later stages do not run. Otherwise:
     welfare: stage 1 fixes every block to rejected and settles the MIC
     binaries, stage 2 freezes that MIC selection and frees the blocks
     (MIC bids dominate hardness, so settling them early prunes the tree).
     volume and min_opportunity_cost: stage 1 maximizes welfare, stage 2
     re-optimizes the request's objective as an LP over the welfare
-    selection (resolve_duals). Stage 3 always solves the full model with
-    the stage-2 point as the solver's incumbent, so it stops at the root
-    when that point already meets the gap target, and falls back to it
-    when it finds nothing better. The stages get a quarter, a quarter and
-    a half of the request's time limit (_stage_budgets). A trace dict,
-    when given, receives the per-stage objective values (stage 1 of volume
-    and min_opportunity_cost is in welfare units).
+    selection (resolve_duals). Stages 1 and 2 get a quarter of the
+    request's time limit each; a stage that finds nothing leaves the start
+    alone. Stage 3 is clear's MIP on the full model, warm-started from the
+    better of the start and the stage-2 point, with what is left of the
+    time limit. A trace dict, when given, receives
+    ``stage_objectives``: stage 0's objective first (None when no rounding
+    was admissible), then stages 1, 2 and 3 when they ran; a certified
+    start leaves one entry. Stage 1 of volume and min_opportunity_cost is
+    in welfare units.
     """
-    validate_instance(instance)
-    model = build_request_model(instance, request)
-    stages = _mic_then_blocks if request.objective == "welfare" else _welfare_then_target
-    out1, out2 = stages(model, request)
-    m3 = model.copy()
-    m3.warm_start = out2.columns.copy()
-    out3 = be.solve_mip(m3, _mip_options(request, _stage_budgets(request)[2]))
-    if not out3.has_solution:
-        out3 = out2
-    if trace is not None:
-        trace["stage_objectives"] = [out1.objective, out2.objective, out3.objective]
-    return _finalize(instance, model, out3, request)
+    return _clear(instance, request, staged=True, trace=trace)
 
 
 def compare_pab_models(instance: Instance, request: ClearingRequest = ClearingRequest()) -> dict:

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from damclear.fileio import GeneratorConfig, generate
 from damclear.model import (
     BlockBid,
     ClearingSolution,
@@ -118,6 +119,15 @@ def make_pab_chain() -> Instance:
         network=single_node_network("L1", ("T1",)),
         price_cap=500.0,
     )
+
+
+def make_day(seed: int) -> Instance:
+    """The benchmark's 2 x 24 day (2544 hourly bids, 20 blocks, 8 MIC bids)
+    at another generator seed."""
+    return generate(GeneratorConfig(
+        seed=seed, locations=("N1", "N2"), periods=tuple(f"T{h}" for h in range(1, 25)),
+        demand_steps=27, supply_steps=26, n_blocks=20, n_mic=8, max_mic_suborders=24,
+    ))
 
 
 def make_pab_point(compensation: float):

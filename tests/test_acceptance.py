@@ -199,8 +199,8 @@ def _full_scale_day():
 def test_criterion_7_scale_smoke():
     """A full-size day (5088 hourly bids, 50 blocks, 20 MIC bids, 4
     locations, 24 periods) clears through the staged heuristic inside ten
-    minutes at a 0.2% gap, with nondecreasing stage objectives and a
-    verifying solution."""
+    minutes at a 0.2% gap, with stage objectives that never get worse and
+    a verifying solution."""
     instance = _full_scale_day()
     assert len(instance.hourly_bids) == 5088
     assert len(instance.block_bids) == 50
@@ -218,12 +218,16 @@ def test_criterion_7_scale_smoke():
     assert wall < 600.0
     assert solution.solver_gap <= 0.002
 
+    # stage 0 (the relaxation-rounding start) first; stages 1-3 follow
+    # only when the start is not certified, and stage 3 starts from the
+    # better of stage 0 and stage 2
     stages = trace["stage_objectives"]
-    assert len(stages) == 3
+    assert len(stages) in (1, 4) and stages[0] is not None
     slack = 1e-6 * (1.0 + abs(stages[-1]))
-    assert stages[0] <= stages[1] + slack
-    assert stages[1] <= stages[2] + slack
-    assert solution.welfare == pytest.approx(stages[2], rel=1e-6)
+    if len(stages) == 4:
+        assert stages[1] <= stages[2] + slack
+        assert max(stages[0], stages[2]) <= stages[3] + slack
+    assert solution.welfare == pytest.approx(stages[-1], rel=1e-6)
 
     rep = verify_equilibrium(instance, solution, rules="pcr")
     assert rep.overall_pass, rep.failing_families()

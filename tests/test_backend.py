@@ -10,8 +10,9 @@ from damclear import backend as bk
 from damclear import engine, milp
 from damclear.engine import ClearingRequest, build_request_model
 from damclear.fileio import GeneratorConfig, generate
+from damclear.model import InstanceIndex
 
-from conftest import make_mic, make_pab_chain, make_toy
+from conftest import make_day, make_mic, make_pab_chain, make_toy
 
 
 def _tiny(rows=(), senses=(), rhs=(), lb=-np.inf, ub=np.inf, objective=1.0):
@@ -141,24 +142,31 @@ def test_random_convex_lps_match_linprog():
         assert mip.mip_gap is None or mip.mip_gap == 0.0
 
 
-def _assert_kept_point_bounded(out):
-    # a kept warm point still carries a valid maximisation bound and its gap
-    assert out.best_bound is not None and np.isfinite(out.best_bound)
-    assert out.best_bound >= out.objective - 1e-6
-    assert out.mip_gap == pytest.approx(
-        abs(out.best_bound - out.objective) / (1.0 + abs(out.objective))
-    )
+def _assert_kept_point_without_bound(out):
+    # HiGHS stopped before it had a bound, and the backend solves nothing
+    # else to get one: the engine gives a kept start its relaxation bound
+    assert out.best_bound is None and out.mip_gap is None
+    assert out.message.startswith("kept warm point; ")
 
 
-def test_warm_start_vector_kept_when_solver_has_nothing():
+def _refuse_lp_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_mip ran an LP solve")
+
+    monkeypatch.setattr(bk.ScipyHighsBackend, "solve_lp", refuse)
+    monkeypatch.setattr(bk, "LpSession", refuse)
+
+
+def test_warm_start_vector_kept_when_solver_has_nothing(monkeypatch):
     m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     base = bk.solve_mip(m, bk.SolveOptions())
+    _refuse_lp_solves(monkeypatch)
     out = bk.solve_mip(m, bk.SolveOptions(time_limit=0.0, warm_start=base.columns))
     assert out.status == "feasible_gap"
     assert out.used_warm_start
     assert out.objective == pytest.approx(450.0, abs=1e-6)
     np.testing.assert_allclose(out.columns, base.columns)
-    _assert_kept_point_bounded(out)
+    _assert_kept_point_without_bound(out)
 
 
 def test_invalid_warm_start_rejected_but_solve_proceeds():
@@ -180,7 +188,7 @@ def test_model_warm_start_slot_is_used():
     m2.warm_start = base.columns
     out = bk.solve_mip(m2, bk.SolveOptions(time_limit=0.0))
     assert out.status == "feasible_gap" and out.used_warm_start
-    _assert_kept_point_bounded(out)
+    _assert_kept_point_without_bound(out)
 
 
 def test_warm_start_within_gap_target_is_certified_by_the_solver(monkeypatch):
@@ -341,27 +349,24 @@ def test_solver_failure_keeps_a_validated_warm_start(monkeypatch):
     out = bk.solve_mip(m)
     assert out.status == "solver_failed" and not out.has_solution
     assert "Solution limit reached" in out.message
+    _refuse_lp_solves(monkeypatch)
     kept = bk.solve_mip(m, bk.SolveOptions(warm_start=base.columns))
     assert kept.status == "feasible_gap" and kept.used_warm_start
     assert kept.objective == pytest.approx(450.0, abs=1e-6)
-    assert kept.mip_gap is not None and "bound from the LP relaxation" in kept.message
+    _assert_kept_point_without_bound(kept)
 
 
 def _day_model(seed):
     """The 2 x 24 benchmark day at this seed, cleared under pcr at gap 0.002."""
-    inst = generate(GeneratorConfig(
-        seed=seed, locations=("N1", "N2"), periods=tuple(f"T{h}" for h in range(1, 25)),
-        demand_steps=27, supply_steps=26, n_blocks=20, n_mic=8, max_mic_suborders=24,
-    ))
     request = ClearingRequest(rules="pcr", solve_options=bk.SolveOptions(relative_gap_target=0.002))
-    return build_request_model(inst, request), request
+    return build_request_model(make_day(seed), request), request
 
 
 def test_stalled_resolve_is_certified_in_one_solve(monkeypatch):
     # HiGHS stops this fixed-selection LP with status Unknown at a point
     # whose primal residual is 6.7e-7
     m, request = _day_model(2)
-    start = engine._relaxation_start(m, request)
+    _, start = engine._relaxation_start(m, request)
     assert start.status == "optimal"
     calls = []
     real_solve_lp = bk.ScipyHighsBackend.solve_lp
@@ -378,26 +383,54 @@ def test_stalled_resolve_is_certified_in_one_solve(monkeypatch):
     assert abs(out.objective - start.objective) <= 1e-9 * (1.0 + abs(start.objective))
 
 
-def test_stall_with_large_residuals_is_solver_failed(monkeypatch):
-    # the relaxation start's 4th LP on this day stops Unknown at a point
-    # with primal residual 1.9e5; replayed on a fresh session it must fail
-    m, request = _day_model(8)
-    selections = []
+def _mic_only_repair(monkeypatch, m, request):
+    """The relaxation start with every block's margin at +inf, so that its
+    repair drops MIC bids only: on day seed 8 that walks into hot-started
+    LPs that stall. Returns the start and each fix's selection and status."""
+    fixes = []
     real_fix = bk.LpSession.fix
 
     def recorded_fix(self, y, u):
-        selections.append((np.copy(y), np.copy(u)))
-        return real_fix(self, y, u)
+        out = real_fix(self, y, u)
+        fixes.append((np.copy(y), np.copy(u), out.status))
+        return out
 
-    monkeypatch.setattr(bk.LpSession, "fix", recorded_fix)
-    engine._relaxation_start(m, request)
-    monkeypatch.undo()
-    assert len(selections) >= 3
+    with monkeypatch.context() as patch:
+        patch.setattr(bk.LpSession, "fix", recorded_fix)
+        patch.setattr(InstanceIndex, "block_surplus", lambda self, prices: np.full(self.n_block, np.inf))
+        _, start = engine._relaxation_start(m, request)
+    return start, fixes
+
+
+def test_stall_with_large_residuals_is_solver_failed(monkeypatch):
+    # the MIC-only repair's 3rd fix on this day stops Unknown at a point
+    # with primal residual 1.9e5; replayed on a fresh session it must fail
+    m, request = _day_model(8)
+    _, fixes = _mic_only_repair(monkeypatch, m, request)
+    assert len(fixes) >= 3
     session = bk.LpSession(m, request.solve_options)
-    for y, u in selections[:2]:
+    for y, u, _ in fixes[:2]:
         session.fix(y, u)
-    out = session.fix(*selections[2])
+    out = session.fix(*fixes[2][:2])
     assert session.lp_count == 4
     assert out.status == "solver_failed" and not out.has_solution
     assert out.message == "Unknown"
     assert session._highs.getInfo().max_primal_infeasibility > bk._STALL_RESIDUAL_TOL
+    # a fresh solve calls the same selection infeasible
+    assert bk.resolve_duals(m, *fixes[2][:2]).status == "infeasible"
+
+
+def test_start_repair_goes_past_a_stalled_lp(monkeypatch):
+    # the floor rounding is optimal and the single flip infeasible; the
+    # repair of the flip drops MIC bids through stalled LPs until one is
+    # admissible instead of abandoning the rounding at the first stall
+    m, request = _day_model(8)
+    start, fixes = _mic_only_repair(monkeypatch, m, request)
+    statuses = [status for _, _, status in fixes]
+    assert statuses[:3] == ["optimal", "infeasible", "solver_failed"]
+    assert statuses[-1] == "optimal" and len(statuses) > 3
+    y_flip = fixes[1][0]
+    for y, u, _ in fixes[2:]:
+        np.testing.assert_array_equal(y, y_flip)
+        assert u.sum() < fixes[1][1].sum()
+    assert start.status == "optimal"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from damclear.fileio import GeneratorConfig, generate
 from damclear.model import Instance, single_node_network
 from damclear.verify import verify_equilibrium
 
-from conftest import make_crossing_pair, make_mic, make_pab_chain, make_toy
+from conftest import make_crossing_pair, make_day, make_mic, make_pab_chain, make_toy
 
 
 TABLE = {
@@ -92,6 +94,20 @@ def test_pab_gap_between_rulesets():
     assert verify_equilibrium(inst, u, rules="umfs").overall_pass
 
 
+def test_relaxation_start_drops_blocks_to_repair_a_rounding():
+    # the chain's relaxation has B0 fractional; under pcr every rounding
+    # that accepts a block is infeasible, and there is no MIC bid to drop
+    inst = make_pab_chain()
+    for rules in ("pcr", "umfs"):
+        request = ClearingRequest(rules=rules)
+        bound, start = engine._relaxation_start(build_request_model(inst, request), request)
+        assert start is not None, rules
+        assert start.objective <= bound + 1e-9 * (1.0 + abs(bound)), rules
+        sol = clear(inst, request)
+        assert sol.welfare == pytest.approx({"pcr": 0.0, "umfs": 280.0}[rules], abs=1e-6)
+        assert verify_equilibrium(inst, sol, rules=rules).overall_pass, rules
+
+
 def test_compare_pab_models_toy():
     toy = make_toy()
     out = compare_pab_models(toy)
@@ -109,27 +125,69 @@ def test_compare_pab_models_chain():
     assert max(out["decomposition_residuals"].values()) <= 1e-6 * 281.0
 
 
-def test_heuristic_mic_block_matches_exact():
-    inst = make_mic(1000.0)
+def _mic_instance():
+    # 5 blocks and 2 MIC bids; under pcr welfare the start is handed off
+    # (welfare 14716.86 against the bound) and stage 2 finds 15484.46
+    return generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
+
+
+def test_heuristic_mic_block_matches_exact(monkeypatch):
+    inst = _mic_instance()
+    request = ClearingRequest()
+    _, start = engine._relaxation_start(build_request_model(inst, request), request)
+    assert start.status == "feasible_gap"
+    exact = clear(inst, request)
+    calls = _count_mip_calls(monkeypatch)
     trace = {}
-    sol = staged_clear(inst, ClearingRequest(), trace=trace)
-    exact = clear(inst, ClearingRequest())
+    sol = staged_clear(inst, request, trace=trace)
     assert sol.welfare == pytest.approx(exact.welfare, abs=1e-6)
     stages = trace["stage_objectives"]
-    assert len(stages) == 3
+    assert len(stages) == 4 and stages[0] == start.objective
+    slack = 1e-9 * (1.0 + abs(stages[3]))
     # blocks-rejected stage cannot beat the full model; later stages improve
-    assert stages[2] >= stages[1] - 1e-9 * (1.0 + abs(stages[2]))
-    assert stages[2] >= stages[0] - 1e-9 * (1.0 + abs(stages[2]))
+    assert stages[1] <= stages[2] + slack
+    assert stages[2] > stages[0] + 1.0
+    assert stages[3] >= stages[2] - slack
+    # stage 3 starts from the stage-2 point, the better of the two
+    assert len(calls) == 3
+    assert float(build_request_model(inst, request).objective @ calls[2]) == pytest.approx(stages[2])
+    assert verify_equilibrium(inst, sol).overall_pass
 
 
 def test_heuristic_mic_block_kept_warm_start_reports_gap(monkeypatch):
-    # a zero stage-3 budget keeps the stage-2 point; its gap must stay finite
-    monkeypatch.setattr(engine, "_stage_budgets", lambda request: (10.0, 10.0, 0.0))
-    inst = make_mic(1000.0)
-    sol = staged_clear(inst, ClearingRequest())
+    # a zero stage-3 time limit keeps the stage-2 point, which has no bound
+    # of HiGHS's own: it gets the relaxation bound and a finite gap
+    inst = _mic_instance()
+    request = ClearingRequest()
+    bound, _ = engine._relaxation_start(build_request_model(inst, request), request)
+    _count_mip_calls(monkeypatch, zero_time_limit_on=3)
+    trace = {}
+    sol = staged_clear(inst, request, trace=trace)
+    stages = trace["stage_objectives"]
+    assert stages[3] == stages[2]
     assert sol.solver_status == "feasible_gap"
-    assert np.isfinite(sol.solver_gap)
+    assert sol.welfare == pytest.approx(stages[2], rel=1e-9)
+    assert sol.solver_gap == pytest.approx(abs(bound - stages[2]) / (1.0 + abs(stages[2])))
+    assert 0.0 < sol.solver_gap < 1.0
     assert verify_equilibrium(inst, sol).overall_pass
+
+
+def test_kept_start_gets_the_relaxation_bound(monkeypatch):
+    # the toy's start (welfare 450) is 0.089 below its relaxation bound
+    # (490); a MIP stopped by a zero time limit keeps it without a bound
+    toy = make_toy()
+    request = ClearingRequest()
+    bound, start = engine._relaxation_start(build_request_model(toy, request), request)
+    assert start.status == "feasible_gap" and bound == pytest.approx(490.0)
+    calls = _count_mip_calls(monkeypatch, zero_time_limit_on=1)
+    resolves = []
+    monkeypatch.setattr(be, "resolve_duals", lambda *args, **kwargs: resolves.append(args))
+    sol = clear(toy, request)
+    assert len(calls) == 1 and resolves == []
+    assert sol.solver_status == "feasible_gap"
+    assert sol.welfare == pytest.approx(450.0, abs=1e-6)
+    assert sol.solver_gap == pytest.approx(40.0 / 451.0)
+    assert verify_equilibrium(toy, sol).overall_pass
 
 
 def test_heuristic_volume_matches_exact():
@@ -138,10 +196,9 @@ def test_heuristic_volume_matches_exact():
     sol = staged_clear(toy, ClearingRequest(objective="volume"), trace=trace)
     assert sol.traded_volume == pytest.approx(20.0, abs=1e-6)
     stages = trace["stage_objectives"]
-    # stage a is welfare (450); stage b re-optimizes volume on that selection
-    assert stages[0] == pytest.approx(450.0, abs=1e-6)
-    assert stages[1] == pytest.approx(10.0, abs=1e-6)
-    assert stages[2] == pytest.approx(20.0, abs=1e-6)
+    # the start (20) is handed off; stage 1 is welfare (450); stage 2
+    # re-optimizes volume on that selection
+    assert stages == pytest.approx([20.0, 450.0, 10.0, 20.0], abs=1e-6)
     assert verify_equilibrium(toy, sol).overall_pass
 
 
@@ -151,10 +208,9 @@ def test_heuristic_min_oc_matches_exact():
     sol = staged_clear(toy, ClearingRequest(objective="min_opportunity_cost"), trace=trace)
     assert sol.total_opportunity_cost == pytest.approx(50.0, abs=1e-6)
     stages = trace["stage_objectives"]
-    assert stages[0] == pytest.approx(450.0, abs=1e-6)
-    # welfare selection {C} carries OC 800; the full stage finds {D} at 50
-    assert stages[1] == pytest.approx(800.0, abs=1e-6)
-    assert stages[2] == pytest.approx(50.0, abs=1e-6)
+    # the start and the welfare selection {C} carry OC 800; the full
+    # stage finds {D} at 50
+    assert stages == pytest.approx([800.0, 450.0, 800.0, 50.0], abs=1e-6)
     assert verify_equilibrium(toy, sol).overall_pass
 
 
@@ -178,9 +234,24 @@ def test_staged_matches_exact_on_seeded_instances():
                 assert rep.overall_pass, (case, rep.failing_families())
 
 
+def test_staged_clear_certifies_a_day_whose_stage_1_runs_out():
+    # stage 1 of this day (MIC bids only, blocks rejected) needs longer
+    # than its quarter of the time limit; the start certifies the day
+    inst = make_day(3)
+    request = ClearingRequest(
+        rules="pcr", solve_options=be.SolveOptions(relative_gap_target=0.002, time_limit=120.0)
+    )
+    trace = {}
+    sol = staged_clear(inst, request, trace=trace)
+    assert sol.solver_status == "optimal"
+    assert sol.solver_gap <= 0.002
+    assert len(trace["stage_objectives"]) == 1
+    assert verify_equilibrium(inst, sol).overall_pass
+
+
 def test_heuristics_flag_infeasible_budget():
-    # a near-zero time limit leaves stage 1 a quarter of it; that must
-    # surface as a ClearingError, not hang
+    # a near-zero time limit leaves every stage without a point; that
+    # must surface as a ClearingError, not hang
     inst = make_mic(1000.0)
     with pytest.raises(ClearingError):
         staged_clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=4e-9)))
@@ -192,13 +263,17 @@ def test_solution_reports_gap_and_status():
     assert sol.solver_gap <= 1e-6
 
 
-def _count_mip_calls(monkeypatch):
-    """Record the warm start of every MIP solve that clear() makes."""
+def _count_mip_calls(monkeypatch, zero_time_limit_on=None):
+    """Record the warm start of every MIP solve that a clear makes. The
+    solve numbered zero_time_limit_on (counting from 1) gets a zero time
+    limit: HiGHS then stops before it has a point or a bound of its own."""
     calls = []
     real = be.ScipyHighsBackend.solve_mip
 
     def counted(self, model, options=be.SolveOptions()):
         calls.append(None if model.warm_start is None else model.warm_start.copy())
+        if len(calls) == zero_time_limit_on:
+            options = replace(options, time_limit=0.0)
         return real(self, model, options)
 
     monkeypatch.setattr(be.ScipyHighsBackend, "solve_mip", counted)
@@ -229,8 +304,9 @@ def test_certified_relaxation_start_skips_the_mip(monkeypatch):
 def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch):
     inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
     request = ClearingRequest()
-    start = engine._relaxation_start(build_request_model(inst, request), request)
+    bound, start = engine._relaxation_start(build_request_model(inst, request), request)
     assert start.status == "feasible_gap" and start.used_warm_start
+    assert start.best_bound == bound
     assert start.best_bound >= start.objective
     calls = _count_mip_calls(monkeypatch)
     sol = clear(inst, request)
@@ -248,7 +324,7 @@ def test_binary_free_model_builds_no_lp_session(monkeypatch):
     request = ClearingRequest()
     with monkeypatch.context() as patch:
         patch.setattr(be, "LpSession", refuse)
-        assert engine._relaxation_start(build_request_model(inst, request), request) is None
+        assert engine._relaxation_start(build_request_model(inst, request), request) == (None, None)
     sol = clear(inst, request)
     assert sol.solver_status == "optimal"
     assert verify_equilibrium(inst, sol).overall_pass
@@ -303,7 +379,8 @@ def test_registry_is_the_route_to_the_backend(monkeypatch):
     assert verify_equilibrium(inst, clear(inst, ClearingRequest())).overall_pass
     assert calls == ["mip", "resolve", "lp"]
     calls.clear()
-    inst = make_mic(1000.0)
+    # stages 1 and 2, then a MIP from the better stage-2 point, re-priced
+    inst = _mic_instance()
     assert verify_equilibrium(inst, staged_clear(inst, ClearingRequest())).overall_pass
     assert calls == ["mip", "mip", "mip", "resolve", "lp"]
 
