@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified success, 1 usage or IO error, 2 verification
 failure, 3 solver stopped short of optimality within its budget (the
-solution and report are still written, with the gap). Every clear run
+solution and report are still written, with the gap) or, for oracle, a
+face LP that HiGHS did not solve (nothing is written). Every clear run
 verifies the solution before exiting and always prints a one-line
 summary with the objective value, the gap and the wall time.
 """
@@ -153,6 +154,9 @@ def _cmd_oracle(args) -> int:
     except OracleGuardError as exc:
         print(f"instance too large for enumeration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # the oracle's solver failures, e.g. an undecided face LP
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     wall = time.perf_counter() - t0
     objective = _OBJ_FROM_FLAG[args.objective]
     value = result.optimum(objective)

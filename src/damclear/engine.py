@@ -273,7 +273,7 @@ def _clear(
     objectives = [None if start is None else start.objective]
     if start is None or start.status != "optimal":
         limit = request.solve_options.time_limit
-        if staged:
+        if staged and model.n_binary:  # without binaries stages 1-2 can only return the LP optimum
             stages = _mic_then_blocks if request.objective == "welfare" else _welfare_then_target
             out1, out2 = stages(model, _mip_options(request, None if limit is None else 0.25 * limit))
             objectives += [out1.objective, out2.objective]

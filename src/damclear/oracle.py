@@ -11,11 +11,12 @@ across those rows makes every point of the polytope primal- and
 dual-optimal; a selection that cannot be dispatched at all leaves it empty.
 
 The polytope's matrix does not depend on the selection, so it is assembled
-once per instance and rule set, with every column. A selection changes
-only bounds (the suborder caps of its MIC bids and the dual slacks it
-switches off) and right-hand sides (the accepted blocks' balance and
-welfare terms, the accepted MIC bids' fixed costs). Two LPs run over it,
-each one HiGHS solve through linprog (see _LP_OPTIONS):
+once per instance and rule set, with every column, into one HiGHS object.
+The acceptances y and u are columns fixed by their bounds, so a selection
+changes only column bounds: y and u themselves, the suborder caps of its
+MIC bids and the dual slacks it switches off. Two LPs run over it, each a
+cold-started HiGHS solve that changes only the cost (see _Face._run and
+_LP_OPTIONS):
 
 1. traded volume is maximized, which doubles as the feasibility probe;
    the selection's welfare is read at that point;
@@ -34,8 +35,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.optimize._highspy import _core as _highspy
+from scipy.sparse import coo_array, vstack
+
+# linprog is not called here (every face LP runs on the enumeration's own
+# HiGHS object, see _Face._run), but the benchmark tracer in
+# perfbench/tracing.py patches oracle.linprog by name, so the attribute must exist
+from scipy.optimize import linprog  # noqa: F401
 
 from .model import ClearingSolution, Instance, InstanceIndex, validate_instance
 
@@ -44,8 +50,9 @@ GUARD = 20
 # the face sits on the objective-equality hyperplane and has no relative
 # interior; with presolve on, HiGHS called such a face infeasible although
 # it had a point (sweep-family seed 111 under umfs), so presolve stays off
-_LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-9,
-               "dual_feasibility_tolerance": 1e-9}
+_LP_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "off",
+               "primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
+_STATUS = _highspy.HighsModelStatus
 
 
 class OracleGuardError(ValueError):
@@ -82,6 +89,31 @@ class SelectionOracleResult:
         return self.optima[objective].value
 
 
+def _face_highs(A_ub, b_ub, A_eq, b_eq, lo, hi):
+    """One HiGHS object (_LP_OPTIONS) holding the rows [A_ub; A_eq] as
+    interval rows, in the order linprog stacks them, with zero cost."""
+    A = vstack((A_ub, A_eq)).tocsc()
+    lp = _highspy.HighsLp()
+    lp.num_row_, lp.num_col_ = A.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.col_cost_ = np.zeros(A.shape[1])
+    lp.col_lower_ = lo
+    lp.col_upper_ = hi
+    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    highs = _highspy._Highs()
+    for name, value in _LP_OPTIONS.items():
+        if highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected the oracle option {name}={value!r}")
+    if highs.passModel(lp) == _highspy.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the oracle's face model")
+    return highs
+
+
 class _Face:
     """Joint primal/dual optimal polytope of one instance under one rule set.
 
@@ -90,13 +122,16 @@ class _Face:
     si, sh, sj, sc of hourly bids, suborders, blocks and MIC bids, then per
     block da (umfs only: the compensation of a paradoxically accepted
     block), per block dr (a rejected block's compensation) and per MIC bid
-    dur (the slack of a rejected MIC bid). Equality rows: balance per (location,
-    period), dual feasibility per basis flow, and the optimality pin
-    (primal objective minus dual objective equals minus the accepted-block
-    welfare). Inequality rows, stored as <=: network capacities, dual
-    feasibility per hourly bid, suborder, block and MIC bid, and one income
-    row per MIC bid (void for a rejected bid, whose suborders are capped
-    at 0).
+    dur (the slack of a rejected MIC bid), and last the acceptances y per
+    block and u per MIC bid, which the selection fixes. Equality rows:
+    balance per (location, period), dual feasibility per basis flow, and
+    the optimality pin (primal objective plus the accepted-block welfare
+    minus the dual objective equals 0). Inequality rows, stored as <=:
+    network capacities, dual feasibility per hourly bid, suborder, block
+    and MIC bid, and one income row per MIC bid (void for a rejected bid,
+    whose suborders are capped at 0). A_ub, b_ub, A_eq, b_eq, lo and hi
+    are the face as linprog would take it; the HiGHS object holds the
+    same rows and columns.
     """
 
     def __init__(self, instance: Instance, rules: str):
@@ -107,7 +142,7 @@ class _Face:
         w = np.asarray(instance.network.capacities, dtype=float)
         e = idx.injection_flat
         cap = instance.price_cap
-        self.block_welfare = idx.block_total * idx.block_limit
+        block_welfare = idx.block_total * idx.block_limit
 
         cols = {}
         pos = 0
@@ -115,11 +150,13 @@ class _Face:
             ("x", nI), ("xm", nS), ("n", K), ("pi", LT), ("v", M),
             ("si", nI), ("sh", nS), ("sj", nJ), ("sc", nC),
             ("da", nJ if rules == "umfs" else 0), ("dr", nJ), ("dur", nC),
+            ("y", nJ), ("u", nC),
         ):
             cols[name] = np.arange(pos, pos + count)
             pos += count
         self.cols = cols
         n = pos
+        self._all = np.arange(n, dtype=np.int32)
 
         entries = {"eq": ([], [], []), "ub": ([], [], [])}
 
@@ -132,21 +169,22 @@ class _Face:
         # equality rows: balance (LT), basis-flow dual feasibility (K), pin
         ek, elt = np.nonzero(e)
         am, ak = np.nonzero(a)
+        bj, bt = np.nonzero(idx.block_powers)
         put("eq", idx.hourly_lt, cols["x"], idx.hourly_power)
         put("eq", idx.sub_lt, cols["xm"], idx.sub_power)
+        put("eq", idx.block_loc[bj] * idx.T + bt, cols["y"][bj], idx.block_powers[bj, bt])
         put("eq", elt, cols["n"][ek], -e[ek, elt])
         put("eq", LT + ak, cols["v"][am], a[am, ak])
         put("eq", LT + ek, cols["pi"][elt], -e[ek, elt])
         pin = LT + K
-        self.c_primal = np.concatenate(
-            (idx.hourly_power * idx.hourly_limit, idx.sub_power * idx.sub_limit)
-        )
-        put("eq", pin, np.concatenate((cols["x"], cols["xm"])), self.c_primal)
+        c_primal = np.concatenate((idx.hourly_power * idx.hourly_limit, idx.sub_power * idx.sub_limit))
+        put("eq", pin, np.concatenate((cols["x"], cols["xm"])), c_primal)
         for name in ("si", "sj", "sc"):
             put("eq", pin, cols[name], -1.0)
         wm = np.nonzero(w)[0]
         put("eq", pin, cols["v"][wm], -w[wm])
         put("eq", pin, cols["da"], 1.0)
+        put("eq", pin, cols["y"], block_welfare)
 
         # inequality rows, negated to <= where the row reads >=
         r_hourly = M
@@ -159,7 +197,6 @@ class _Face:
         put("ub", r_hourly + np.arange(nI), cols["pi"][idx.hourly_lt], -idx.hourly_power)
         put("ub", r_sub + np.arange(nS), cols["sh"], -1.0)
         put("ub", r_sub + np.arange(nS), cols["pi"][idx.sub_lt], -idx.sub_power)
-        bj, bt = np.nonzero(idx.block_powers)
         put("ub", r_block + np.arange(nJ), cols["sj"], -1.0)
         put("ub", r_block + bj, cols["pi"][idx.block_loc[bj] * idx.T + bt],
             -idx.block_powers[bj, bt])
@@ -171,6 +208,7 @@ class _Face:
         put("ub", r_income + np.arange(nC), cols["sc"], -1.0)
         put("ub", r_income + idx.sub_owner, cols["xm"],
             -idx.sub_power * (idx.mic_variable[idx.sub_owner] - idx.sub_limit))
+        put("ub", r_income + np.arange(nC), cols["u"], idx.mic_fixed)
 
         def matrix(kind, n_rows):
             r, c, v = (np.concatenate(part) for part in entries[kind])
@@ -183,10 +221,9 @@ class _Face:
             w,
             -idx.hourly_power * idx.hourly_limit,
             -idx.sub_power * idx.sub_limit,
-            -self.block_welfare,
+            -block_welfare,
             np.zeros(2 * nC),
         ))
-        self.income = slice(r_income, r_income + nC)
         self.lo = np.zeros(n)
         self.hi = np.full(n, np.inf)
         self.hi[cols["x"]] = 1.0
@@ -194,18 +231,46 @@ class _Face:
         self.lo[cols["pi"]] = -cap
         self.hi[cols["pi"]] = cap
 
-        # accepted blocks' balance terms and welfare move to the rhs
-        self.block_balance = np.zeros((LT, nJ))
-        self.block_balance[idx.block_loc[bj] * idx.T + bt, bj] = idx.block_powers[bj, bt]
-        self.block_buy_volume = np.clip(idx.block_powers, 0.0, None).sum(axis=1)
+        # y and u are fixed by their bounds, so their terms are constants
+        self.c_welfare = np.zeros(n)
+        self.c_welfare[: len(c_primal)] = c_primal
+        self.c_welfare[cols["y"]] = block_welfare
         self.c_volume = np.zeros(n)
         self.c_volume[cols["x"]] = np.clip(idx.hourly_power, 0.0, None)
+        self.c_volume[cols["y"]] = np.clip(idx.block_powers, 0.0, None).sum(axis=1)
         self.c_compensation = np.zeros(n)
         self.c_compensation[cols["dr"]] = 1.0
+        self._highs = _face_highs(self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.lo, self.hi)
 
-    def _solve(self, c, b_ub, b_eq, bounds):
-        return linprog(c, A_ub=self.A_ub, b_ub=b_ub, A_eq=self.A_eq, b_eq=b_eq, bounds=bounds,
-                       method="highs", options=_LP_OPTIONS)
+    def bounds(self, y, u):
+        """Column bounds (lo, hi) of the face at the selection (y, u)."""
+        idx, cols = self.idx, self.cols
+        lo, hi = self.lo.copy(), self.hi.copy()
+        lo[cols["y"]] = hi[cols["y"]] = y
+        lo[cols["u"]] = hi[cols["u"]] = u
+        hi[cols["xm"]] = u[idx.sub_owner]
+        if len(cols["da"]):
+            hi[cols["da"]] = np.where(y > 0, np.inf, 0.0)
+        hi[cols["dr"]] = np.where(y > 0, 0.0, np.inf)
+        hi[cols["dur"]] = np.where(u > 0, 0.0, np.inf)
+        return lo, hi
+
+    def _run(self, cost):
+        """One LP over the face at its current bounds, from a cold start.
+
+        Returns HiGHS's model status and, when it is optimal, the point
+        (None otherwise). clearSolver drops the previous LP's basis: kept,
+        it changed verdicts (sweep-family seed 291 under umfs lost one of
+        its 16 admissible selections) and failed compensation LPs.
+        """
+        highs = self._highs
+        highs.changeColsCost(cost.size, self._all, cost)
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _STATUS.kOptimal:
+            return status, None
+        return status, np.array(highs.getSolution().col_value)
 
     def extremes(self, y, u):
         """(welfare, max volume, min compensation, witness) at a selection.
@@ -217,44 +282,33 @@ class _Face:
         pinning corridor of width e would be amplified into the
         compensation minimum by the rejected blocks' price sensitivity.
         """
-        idx, cols = self.idx, self.cols
-        b_eq = self.b_eq.copy()
-        b_eq[: idx.LT] = -(self.block_balance @ y)
-        b_eq[-1] = -float(self.block_welfare @ y)
-        b_ub = self.b_ub.copy()
-        b_ub[self.income] = -idx.mic_fixed * u
-        hi = self.hi.copy()
-        hi[cols["xm"]] = u[idx.sub_owner]
-        if len(cols["da"]):
-            hi[cols["da"]] = np.where(y > 0, np.inf, 0.0)
-        hi[cols["dr"]] = np.where(y > 0, 0.0, np.inf)
-        hi[cols["dur"]] = np.where(u > 0, 0.0, np.inf)
-        bounds = np.column_stack((self.lo, hi))
-
-        vol = self._solve(-self.c_volume, b_ub, b_eq, bounds)
-        if vol.status == 2:
+        cols = self.cols
+        lo, hi = self.bounds(y, u)
+        self._highs.changeColsBounds(lo.size, self._all, lo, hi)
+        status, vol = self._run(-self.c_volume)
+        if status == _STATUS.kInfeasible:
             return None
-        if vol.status != 0:
-            raise self._failure("volume probe", vol, y, u)
-        comp = self._solve(self.c_compensation, b_ub, b_eq, bounds)
-        if comp.status != 0:
-            raise self._failure("compensation", comp, y, u)
+        if vol is None:
+            raise self._failure("volume probe", status, y, u)
+        status, comp = self._run(self.c_compensation)
+        if comp is None:
+            raise self._failure("compensation", status, y, u)
         witness = {
-            "x": vol.x[cols["x"]],
-            "x_mic": vol.x[cols["xm"]],
-            "prices": vol.x[cols["pi"]].reshape(idx.L, idx.T),
+            "x": vol[cols["x"]],
+            "x_mic": vol[cols["xm"]],
+            "prices": vol[cols["pi"]].reshape(self.idx.L, self.idx.T),
         }
         return (
-            float(self.c_primal @ vol.x[: len(self.c_primal)]) + float(self.block_welfare @ y),
-            float(self.c_volume @ vol.x) + float(self.block_buy_volume @ y),
-            float(self.c_compensation @ comp.x),
+            float(self.c_welfare @ vol),
+            float(self.c_volume @ vol),
+            float(self.c_compensation @ comp),
             witness,
         )
 
-    def _failure(self, lp: str, res, y, u) -> RuntimeError:
+    def _failure(self, lp: str, status, y, u) -> RuntimeError:
         blocks, mic = _accepted(self.idx.instance, y, u)
         return RuntimeError(f"oracle {lp} LP failed for accepted blocks {blocks} and MIC bids {mic}: "
-                            f"linprog status {res.status}: {res.message}")
+                            f"HiGHS model status {self._highs.modelStatusToString(status)}")
 
 
 def _accepted(instance: Instance, y, u) -> tuple:

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 import damclear.cli as cli
+from damclear import oracle
 from damclear.engine import ClearingError, ClearingRequest, clear
 from damclear.fileio import parse
 
@@ -99,6 +100,29 @@ def test_oracle_guard(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["oracle", str(tmp_path / "big.json")]) == 1
     assert "too large" in capsys.readouterr().err
+
+
+def test_oracle_failed_face_lp_exit_code(toy_tmp, tmp_path, monkeypatch, capsys):
+    # the toy's selection () runs LPs 0 and 1; LP 2 is ("C",)'s volume probe
+    calls = []
+    real = oracle._Face._run
+
+    def failing(face, cost):
+        calls.append(None)
+        if len(calls) == 3:
+            return oracle._STATUS.kSolveError, None
+        return real(face, cost)
+
+    monkeypatch.setattr(oracle._Face, "_run", failing)
+    out_path = tmp_path / "oracle.json"
+    assert cli.main(["oracle", str(toy_tmp), "--out", str(out_path)]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: oracle volume probe LP failed for accepted blocks ('C',) and MIC bids (): "
+        "HiGHS model status Solve error\n"
+    )
+    assert not out_path.exists()
 
 
 def test_generate_deterministic(tmp_path, capsys):

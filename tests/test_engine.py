@@ -26,6 +26,11 @@ TABLE = {
     "volume": (20.0, 440.0, 20.0, 50.0, 10.0),
     "min_opportunity_cost": (50.0, 440.0, 20.0, 50.0, 10.0),
 }
+VALUE = {
+    "welfare": lambda s: s.welfare,
+    "volume": lambda s: s.traded_volume,
+    "min_opportunity_cost": lambda s: s.total_opportunity_cost,
+}
 
 
 def test_toy_all_objectives_both_rules():
@@ -215,15 +220,10 @@ def test_heuristic_min_oc_matches_exact():
 
 
 def test_staged_matches_exact_on_seeded_instances():
-    value = {
-        "welfare": lambda s: s.welfare,
-        "volume": lambda s: s.traded_volume,
-        "min_opportunity_cost": lambda s: s.total_opportunity_cost,
-    }
     for seed in range(1, 7):
         inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
         for rules in ("pcr", "umfs"):
-            for objective, get in value.items():
+            for objective, get in VALUE.items():
                 request = ClearingRequest(objective=objective, rules=rules)
                 staged = staged_clear(inst, request)
                 exact = get(clear(inst, request))
@@ -330,6 +330,22 @@ def test_binary_free_model_builds_no_lp_session(monkeypatch):
     assert verify_equilibrium(inst, sol).overall_pass
 
 
+@pytest.mark.parametrize("seed", (21, 42))
+def test_staged_clear_runs_no_stages_1_2_without_binaries(seed):
+    # sweep-family seeds 21 and 42 have no block and no MIC bid: stages 1-2
+    # could only return the LP optimum that the final solve finds
+    inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+    for rules in ("pcr", "umfs"):
+        for objective, get in VALUE.items():
+            request = ClearingRequest(objective=objective, rules=rules)
+            trace = {}
+            staged = get(staged_clear(inst, request, trace=trace))
+            final = trace["stage_objectives"][-1]
+            assert trace["stage_objectives"] == [None, final], (rules, objective)
+            assert staged == pytest.approx(final, rel=1e-9, abs=1e-9)
+            assert staged == get(clear(inst, request)), (rules, objective)
+
+
 def test_spent_time_limit_falls_through_to_the_mip(monkeypatch):
     # no relaxation LP runs, so the MIP is called as before, without a start
     inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
@@ -386,15 +402,10 @@ def test_registry_is_the_route_to_the_backend(monkeypatch):
 
 
 def test_clear_matches_mip_only_reference_on_seeded_instances():
-    value = {
-        "welfare": lambda s: s.welfare,
-        "volume": lambda s: s.traded_volume,
-        "min_opportunity_cost": lambda s: s.total_opportunity_cost,
-    }
     for seed in range(1, 21):
         inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
         for rules in ("pcr", "umfs"):
-            for objective, get in value.items():
+            for objective, get in VALUE.items():
                 request = ClearingRequest(objective=objective, rules=rules)
                 model = build_request_model(inst, request)
                 outcome = be.solve_mip(model, request.solve_options)

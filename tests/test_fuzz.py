@@ -2,11 +2,12 @@
 
 Each shape is a small GeneratorConfig (the enumeration oracle stays
 cheap) that bends one default: network capacities, the size of the
-grid, the spread of limit prices, or the mix of block and MIC bids. A
-fixed seed list runs through clear and staged_clear under both rule sets
-and all three objectives; every result must match the oracle's optimum
-within 1e-6 (1 + |v|) and pass the verifier. The whole gate has a budget
-of 20 s; it takes about 11 s on a 2-core machine.
+grid, the spread of limit prices, the size of bid powers, or the mix of
+block and MIC bids. A fixed seed list runs through clear and
+staged_clear under both rule sets and all three objectives; every result
+must match the oracle's optimum within 1e-6 (1 + |v|) and pass the
+verifier. The whole gate has a budget of 20 s; it takes about 11.5 s on
+a 2-core machine.
 """
 
 import time
@@ -40,6 +41,13 @@ SHAPES = {
     ),
     "mic-zero-fixed-cost": replace(_SMALL, n_blocks=2, n_mic=2, mic_fixed_range=(0.0, 0.0)),
     "mic-heavy-no-blocks": replace(_SMALL, n_blocks=0, n_mic=4),
+    "three-locations": replace(_SMALL, locations=("L1", "L2", "L3")),
+    "tiny-powers": replace(
+        _SMALL, hourly_power_range=(0.001, 0.01), block_power_range=(0.001, 0.01),
+        mic_power_range=(0.001, 0.01),
+    ),
+    "large-blocks": replace(_SMALL, block_power_range=(200.0, 400.0)),
+    "six-periods": replace(_SMALL, periods=tuple(f"T{h}" for h in range(1, 7))),
 }
 
 VALUE = {

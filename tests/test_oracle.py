@@ -1,6 +1,10 @@
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog
 
 from damclear import oracle
 from damclear.backend import resolve_duals
@@ -16,6 +20,8 @@ from damclear.oracle import (
 )
 
 from conftest import make_mic, make_pab_chain, make_toy
+
+OPTIMA_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "optima.json"
 
 
 def by_selection(result):
@@ -134,6 +140,18 @@ def test_umfs_face_admits_more_than_pcr():
     assert p <= u
 
 
+def test_oracle_shares_no_code_with_the_milp_side():
+    # the benchmark tracer patches oracle.linprog by name
+    assert oracle.linprog is linprog
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"milp", "backend", "damclear.milp", "damclear.backend"}
+
+
+def _sweep(seed):
+    return generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+
+
 @pytest.mark.parametrize("rules", ("pcr", "umfs"))
 def test_every_selection_matches_the_milp_resolve(rules):
     # two independent code paths per selection: the oracle's face system
@@ -141,7 +159,7 @@ def test_every_selection_matches_the_milp_resolve(rules):
     # (blocks, MIC) shape of the sweep family once
     checked = 0
     for seed in range(21):
-        inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+        inst = _sweep(seed)
         n_block, n_mic = len(inst.block_bids), len(inst.mic_bids)
         model = set_objective(build_model(inst, rules), "welfare")
         records = {
@@ -175,17 +193,16 @@ def test_each_face_lp_is_one_solve(monkeypatch, make, rules):
     # an admissible selection runs the volume probe and the compensation
     # LP, an inadmissible one only the probe; nothing is solved twice
     calls = []
-    real = oracle.linprog
+    real = oracle._Face._run
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return real(*args, **kwargs)
+    def counted(face, cost):
+        calls.append(cost)
+        return real(face, cost)
 
-    monkeypatch.setattr(oracle, "linprog", counted)
+    monkeypatch.setattr(oracle._Face, "_run", counted)
     res = enumerate_selections(make(), rules=rules)
     admissible = len(res.records)
     assert len(calls) == 2 * admissible + (res.n_selections - admissible)
-    assert set(calls) == {"highs"}
 
 
 def test_seed_111_umfs_enumerates_and_matches_clear():
@@ -205,18 +222,67 @@ def test_seed_111_umfs_enumerates_and_matches_clear():
 def test_a_failed_face_lp_names_the_lp_and_the_selection(monkeypatch, failing_call, lp):
     # on the toy, selection () runs calls 0 and 1, selection ("C",) calls 2 and 3
     calls = []
-    real = oracle.linprog
+    real = oracle._Face._run
 
-    def failing(*args, **kwargs):
+    def failing(face, cost):
         calls.append(None)
         if len(calls) - 1 == failing_call:
-            return OptimizeResult(status=4, message="numerical difficulties")
-        return real(*args, **kwargs)
+            return oracle._STATUS.kSolveError, None
+        return real(face, cost)
 
-    monkeypatch.setattr(oracle, "linprog", failing)
+    monkeypatch.setattr(oracle._Face, "_run", failing)
     want = (
         rf"oracle {lp} LP failed for accepted blocks \('C',\) and MIC bids \(\): "
-        r"linprog status 4: numerical difficulties"
+        r"HiGHS model status Solve error"
     )
     with pytest.raises(RuntimeError, match=want):
         enumerate_selections(make_toy())
+
+
+@pytest.mark.parametrize("seed, admissible", ((4, 32), (291, 16)))
+def test_cold_started_face_lps_match_the_recorded_enumeration(seed, admissible):
+    # every face LP starts cold: with the basis kept from the previous LP,
+    # HiGHS called one of seed 291's 16 admissible selections infeasible
+    # under umfs (a prototype that kept it lost one of seed 4's 32)
+    with open(OPTIMA_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)["instances"][str(seed)]["umfs"]
+    res = enumerate_selections(_sweep(seed), rules="umfs")
+    assert len(res.records) == want["admissible"] == admissible
+    for objective in ("welfare", "volume", "min_opportunity_cost"):
+        v = want[objective]
+        assert abs(res.optimum(objective) - v) <= 1e-6 * (1.0 + abs(v)), objective
+
+
+@pytest.mark.parametrize("rules", ("pcr", "umfs"))
+def test_face_extremes_match_a_one_shot_linprog(rules):
+    # the persistent HiGHS object against linprog on the same A_ub/A_eq
+    # face, selection by selection, on every shape of the sweep family
+    checked = 0
+    for seed in range(21):
+        inst = _sweep(seed)
+        face = oracle._Face(inst, rules)
+        nJ, nb = len(inst.block_bids), len(inst.block_bids) + len(inst.mic_bids)
+        for mask in range(2 ** nb):
+            bits = ((mask >> np.arange(nb)) & 1).astype(float)
+            y, u = bits[:nJ], bits[nJ:]
+            got = face.extremes(y, u)
+            bounds = np.column_stack(face.bounds(y, u))
+
+            def one_shot(cost):
+                return linprog(cost, A_ub=face.A_ub, b_ub=face.b_ub, A_eq=face.A_eq,
+                               b_eq=face.b_eq, bounds=bounds, method="highs",
+                               options={"presolve": False, "primal_feasibility_tolerance": 1e-9,
+                                        "dual_feasibility_tolerance": 1e-9})
+
+            vol = one_shot(-face.c_volume)
+            case = (seed, rules, mask)
+            assert vol.status in (0, 2), case
+            assert (got is None) == (vol.status == 2), case
+            if got is not None:
+                comp = one_shot(face.c_compensation)
+                assert comp.status == 0, case
+                want = (face.c_welfare @ vol.x, face.c_volume @ vol.x, face.c_compensation @ comp.x)
+                for g, w in zip(got[:3], want):
+                    assert abs(g - w) <= 1e-9 * (1.0 + abs(w)), (case, g, w)
+            checked += 1
+    assert checked == 127 * 7
