@@ -22,11 +22,11 @@ HiGHS reports none (a zero time limit leaves it at infinity); the engine
 then gives it the relaxation bound of its start.
 
 LpSession keeps one model's LP relaxation on a persistent HiGHS object:
-it solves the relaxation once, then checks acceptance selections by
-changing only the y/u column bounds and re-running from the previous
-basis. Its relaxation objective is HiGHS's LP optimum at
-LP_FEASIBILITY_TOL, which is what the engine uses as the bound of a
-rounded start. solve_lp runs a one-shot session and returns its
+it solves the relaxation once, then re-solves it with the y/u column
+bounds narrowed, from the previous basis: a fixed acceptance selection,
+or a branch-and-bound node with some binaries fixed. Its LP objectives are
+HiGHS's LP optima at LP_FEASIBILITY_TOL, which is what the engine uses as
+the bounds of its start. solve_lp runs a one-shot session and returns its
 relaxation; resolve_duals is one solve_lp with the selection fixed.
 
 HiGHS prints a few MIP messages with a raw printf that ignores its output
@@ -248,15 +248,16 @@ class LpSession:
     """A model's LP relaxation on one persistent HiGHS object.
 
     The constructor solves the relaxation once (integrality cleared,
-    LP_FEASIBILITY_TOL, presolve on) into ``relaxation``. Each fix() then
-    changes only the y/u column bounds and re-runs with presolve off, so
-    HiGHS starts from the previous basis. The options' time_limit caps the
-    session as a whole: once it has run out, a solve returns
-    time_limit_no_solution without running. ``lp_count`` counts the LPs
-    run. A run that stops Unknown (HiGHS stalls on the optimal face the
-    objective-equality row pins) is optimal when HiGHS's primal and dual
-    infeasibilities of its point are within _STALL_RESIDUAL_TOL, and says
-    so in its message; otherwise it is solver_failed.
+    LP_FEASIBILITY_TOL, presolve on) into ``relaxation``. Each bound()
+    then changes only the y/u column bounds and re-runs with presolve off,
+    so HiGHS starts from the previous basis; fix() is bound() with both
+    ends at a selection. The options' time_limit caps the session as a
+    whole: once it has run out, a solve returns time_limit_no_solution
+    without running. ``lp_count`` counts the LPs run. A run that stops
+    Unknown (HiGHS stalls on the optimal face the objective-equality row
+    pins) is optimal when HiGHS's primal and dual infeasibilities of its
+    point are within _STALL_RESIDUAL_TOL, and says so in its message;
+    otherwise it is solver_failed.
     """
 
     def __init__(self, model: MilpModel, options: SolveOptions = SolveOptions()):
@@ -285,10 +286,18 @@ class LpSession:
         """Solve the LP with the acceptance binaries fixed to the rounded y, u."""
         y = np.round(np.asarray(y, dtype=float).reshape(-1))
         u = np.round(np.asarray(u, dtype=float).reshape(-1))
-        if y.size != self._n_y or y.size + u.size != self._cols.size:
+        if y.size != self._n_y:
             raise BackendError("selection shape does not match the model")
         sel = np.r_[y, u]
-        self._highs.changeColsBounds(sel.size, self._cols, sel, sel)
+        return self.bound(sel, sel)
+
+    def bound(self, lo: np.ndarray, hi: np.ndarray) -> SolveOutcome:
+        """Solve the LP with the y/u columns (y first, then u) bounded to [lo, hi]."""
+        lo = np.asarray(lo, dtype=float).reshape(-1)
+        hi = np.asarray(hi, dtype=float).reshape(-1)
+        if lo.size != self._cols.size or hi.size != self._cols.size:
+            raise BackendError("selection shape does not match the model")
+        self._highs.changeColsBounds(lo.size, self._cols, lo, hi)
         return self._run()
 
     def _run(self) -> SolveOutcome:

@@ -2,9 +2,11 @@
 
 clear() and staged_clear() share one pipeline. It builds the primal-dual
 model for the requested rules and objective and rounds its LP relaxation
-into an admissible selection (stage 0). A start that the relaxation
-bound certifies keeps the prices and surpluses of the LP that checked its
-selection. Otherwise one MILP solve starts from it; staged_clear() first
+into an admissible selection (stage 0). A rounding that the relaxation
+bound does not certify is closed by a depth-first LP branch-and-bound on
+the same LP. A start certified either way keeps the prices and surpluses
+of the LP that checked its selection. Otherwise (the search failed or ran
+out of LPs) one MILP solve starts from the rounding; staged_clear() first
 runs two objective-specific stages (1 and 2) and starts that solve
 (stage 3) from the better of the start and the stage-2 point. Unless the
 solve keeps the start, the LP is re-solved with the winning selection
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import backend as be
 from . import milp
-from .model import ClearingSolution, Instance, InstanceIndex, validate_instance
+from .model import ClearingSolution, Instance, InstanceIndex
 
 RULESETS = ("pcr", "umfs")
 
@@ -80,6 +82,11 @@ def _mip_options(request: ClearingRequest, time_limit: Optional[float]) -> be.So
     return replace(request.solve_options, time_limit=time_limit)
 
 
+def _gap(bound: float, value: float) -> float:
+    """The relative gap between a bound and an objective value, |b-v|/(1+|v|)."""
+    return abs(bound - value) / (1.0 + abs(value))
+
+
 def _gap_of(outcome: be.SolveOutcome) -> float:
     # inf means no bound is known: a MIP outcome without the solver's
     # bound carries the relaxation bound (see _clear); a model without
@@ -87,7 +94,7 @@ def _gap_of(outcome: be.SolveOutcome) -> float:
     if outcome.mip_gap is not None:
         return float(outcome.mip_gap)
     if outcome.best_bound is not None and outcome.objective is not None:
-        return abs(outcome.best_bound - outcome.objective) / (1.0 + abs(outcome.objective))
+        return _gap(outcome.best_bound, outcome.objective)
     return float("inf")
 
 
@@ -178,6 +185,7 @@ def _finalize(
 
 
 _START_LPS = 16  # LPs the relaxation-rounding start may run, the relaxation included
+_BRANCH_LPS = 512  # LPs the branch-and-bound behind an uncertified start may run
 _FULL_ROUNDINGS = 3  # up to this many fractional binaries, every rounding is tried
 
 
@@ -202,9 +210,66 @@ def _roundings(k: int):
     return [np.zeros(k, dtype=bool)] + [np.arange(k) == j for j in range(k)]
 
 
+def _binaries(model: milp.MilpModel, columns: np.ndarray) -> np.ndarray:
+    """The point's y and u columns, in the order LpSession.bound takes them."""
+    return np.r_[columns[model.roles["y"]], columns[model.roles["u"]]]
+
+
+def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
+            incumbent: Optional[be.SolveOutcome], target: float) -> Optional[tuple]:
+    """Depth-first LP branch-and-bound over the y/u binaries on the start's
+    session, from its relaxation root, as (bound, incumbent).
+
+    Every node is one hot-started LP with the binaries bounded to [lo, hi]
+    (LpSession.bound). An infeasible node is pruned, and so is a node whose
+    objective is within target of the incumbent (the gap |a-b|/(1+|b|)).
+    A node with integral binaries is followed by its selection fixed, which
+    becomes the incumbent unless it is pruned, so an incumbent is always
+    priced by the LP that checked its selection. Any other node branches on
+    its most fractional binary, nearer side first. bound is the sense-aware
+    worst of the pruned nodes' objectives and the incumbent's. None when a
+    node LP ends in any other status, when _BRANCH_LPS LPs are spent, or
+    when the search closes without an incumbent.
+    """
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    stop = session.lp_count + _BRANCH_LPS
+    pruned = []
+    nodes = [(np.zeros(model.n_binary), np.ones(model.n_binary), root)]
+    while nodes:
+        lo, hi, out = nodes.pop()
+        if out is None:
+            if session.lp_count >= stop:
+                return None
+            out = session.bound(lo, hi)
+        if out.status == "infeasible":
+            continue
+        if out.status != "optimal":
+            return None
+        if incumbent is not None and (sign * (out.objective - incumbent.objective)
+                                      <= target * (1.0 + abs(incumbent.objective))):
+            pruned.append(out.objective)
+        elif np.array_equal(lo, hi):
+            incumbent = out
+        else:
+            z = _binaries(model, out.columns)
+            frac = np.abs(z - np.round(z))
+            j = int(np.argmax(frac))
+            if frac[j] <= be.INTEGER_FEASIBILITY_TOL:
+                nodes.append((np.round(z), np.round(z), None))
+                continue
+            near = np.round(z[j])
+            for side in (1.0 - near, near):
+                child_lo, child_hi = lo.copy(), hi.copy()
+                child_lo[j] = child_hi[j] = side
+                nodes.append((child_lo, child_hi, None))
+    if incumbent is None:
+        return None
+    return sign * max(sign * np.r_[pruned, incumbent.objective]), incumbent
+
+
 def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
-    """The LP-relaxation bound and the best admissible selection rounded
-    from the relaxation, as (bound, start).
+    """The best proven bound and the best admissible selection found from
+    the LP relaxation, as (bound, start).
 
     One LpSession solves the relaxation and checks each candidate selection
     by fixing its binaries. Integral binaries keep their value; fractional
@@ -212,8 +277,11 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
     is negative at the relaxation prices are rejected. While a selection
     stays infeasible (or its hot-started LP fails), the accepted bid with
     the weakest margin at the relaxation prices is dropped (_margins).
-    The search stops after _START_LPS LPs or the request's time limit. The
-    start carries the bound as best_bound and is 'optimal' when it is
+    The rounding stops after _START_LPS LPs or the request's time limit.
+    A rounding that the relaxation bound does not certify is closed by an
+    LP branch-and-bound on the same session (_branch); when that search
+    stops early, the rounding and the relaxation bound stand as they were.
+    The start carries the bound as best_bound and is 'optimal' when it is
     within relative_gap_target of it, 'feasible_gap' otherwise. Either
     part is None when it was not found: a model without binaries runs no
     LP.
@@ -224,9 +292,8 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
     relax = session.relaxation
     if relax.status != "optimal":
         return None, None
-    ys, us = model.roles["y"], model.roles["u"]
-    n_y = ys.stop - ys.start
-    z = np.r_[relax.columns[ys], relax.columns[us]]
+    n_y = model.roles["y"].stop - model.roles["y"].start
+    z = _binaries(model, relax.columns)
     frac = np.flatnonzero(np.abs(z - np.round(z)) > be.INTEGER_FEASIBILITY_TOL)
     floor = np.round(z)
     floor[frac] = 0.0
@@ -248,24 +315,29 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
             if out.status not in ("infeasible", "solver_failed") or not accepted.size:
                 break
             sel[accepted[np.argmin(margin[accepted])]] = 0.0
-    bound = relax.objective
+    bound, how = relax.objective, "LP-relaxation rounding"
+    target = request.solve_options.relative_gap_target
+    if best is None or _gap(bound, best.objective) > target:
+        closed = _branch(session, model, relax, best, target)
+        if closed is not None:
+            (bound, best), how = closed, "LP branch-and-bound"
     if best is None:
         return bound, None
-    gap = abs(bound - best.objective) / (1.0 + abs(best.objective))
-    certified = gap <= request.solve_options.relative_gap_target
+    gap = _gap(bound, best.objective)
+    certified = gap <= target
     return bound, replace(
         best, status="optimal" if certified else "feasible_gap",
         best_bound=bound, mip_gap=gap, used_warm_start=True,
-        message=f"LP-relaxation rounding, {session.lp_count} LPs, "
-        + ("certified by the relaxation bound" if certified else "handed to the MIP as its start"),
+        message=f"{how}, {session.lp_count} LPs, "
+        + ("certified by its bound" if certified else "handed to the MIP as its start"),
     )
 
 
 def _clear(
     instance: Instance, request: ClearingRequest, staged: bool, trace: Optional[dict] = None
 ) -> ClearingSolution:
-    """The pipeline behind clear and staged_clear (see staged_clear)."""
-    validate_instance(instance)
+    """The pipeline behind clear and staged_clear (see staged_clear); the
+    model build validates the instance."""
     model = build_request_model(instance, request)
     t0 = time.perf_counter()
     bound, start = _relaxation_start(model, request)
@@ -298,12 +370,14 @@ def _clear(
 def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> ClearingSolution:
     """Single-shot clearing under the requested objective and rules.
 
-    A model with binaries first gets a start rounded from its LP relaxation
-    (_relaxation_start). A start within relative_gap_target of the
-    relaxation bound is certified and the MIP is skipped; otherwise the
-    start becomes the MIP's warm start and the MIP gets what is left of the
-    time limit. A certified start, or one the MIP keeps, is priced by the
-    LP that checked its selection; any other MIP outcome by _finalize.
+    A model with binaries first gets a start from its LP relaxation
+    (_relaxation_start): a rounding within relative_gap_target of the
+    relaxation bound, or else the incumbent of an LP branch-and-bound that
+    closes within that target, is certified and the MIP is skipped. When
+    neither certifies a start, the rounding becomes the MIP's warm start
+    and the MIP gets what is left of the time limit. A certified start, or
+    one the MIP keeps, is priced by the LP that checked its selection; any
+    other MIP outcome by _finalize.
     """
     return _clear(instance, request, staged=False)
 
@@ -348,8 +422,9 @@ def staged_clear(
 ) -> ClearingSolution:
     """clear with two objective-specific stages in front of its MIP.
 
-    Stage 0 is clear's relaxation-rounding start; a certified start is
-    returned as it is, and the later stages do not run. Otherwise:
+    Stage 0 is clear's start, rounded from the relaxation or closed by its
+    LP branch-and-bound; a certified start is returned as it is, and the
+    later stages do not run. Otherwise:
     welfare: stage 1 fixes every block to rejected and settles the MIC
     binaries, stage 2 freezes that MIC selection and frees the blocks
     (MIC bids dominate hardness, so settling them early prunes the tree).

@@ -306,6 +306,29 @@ def test_lp_session_fix_agrees_with_resolve_duals():
         assert verdicts == {"optimal", "infeasible"}, rules
 
 
+def test_lp_session_bound_spans_the_relaxation_and_fix():
+    # [0, 1] everywhere is the relaxation, lo == hi is fix(), and a node
+    # in between is bounded by the relaxation (every model here maximizes)
+    for rules, m in _session_models():
+        session = bk.LpSession(m)
+        n = session._cols.size
+        whole = session.bound(np.zeros(n), np.ones(n))
+        relax = session.relaxation.objective
+        assert abs(whole.objective - relax) <= 1e-9 * (1.0 + abs(relax)), rules
+        lo, hi = np.zeros(n), np.ones(n)
+        hi[0] = 0.0
+        node = session.bound(lo, hi)
+        assert node.objective <= relax + 1e-9 * (1.0 + abs(relax)), rules
+        for y, u in _random_selections(m, 5, seed=3):
+            sel = np.r_[y, u]
+            a, b = session.bound(sel, sel), session.fix(y, u)
+            assert a.status == b.status, (rules, sel)
+            if a.status == "optimal":
+                assert abs(a.objective - b.objective) <= 1e-9 * (1.0 + abs(b.objective)), (rules, sel)
+        with pytest.raises(bk.BackendError):
+            session.bound(np.zeros(n - 1), np.ones(n - 1))
+
+
 def test_lp_session_verdict_does_not_depend_on_order():
     for rules, m in _session_models():
         selections = _random_selections(m, 20, seed=7)

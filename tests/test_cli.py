@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import damclear.cli as cli
 from damclear import oracle
 from damclear.engine import ClearingError, ClearingRequest, clear
-from damclear.fileio import parse
+from damclear.fileio import generate, parse, write_instance
+
+from test_fuzz import SHAPES
 
 
 @pytest.fixture
@@ -214,3 +217,16 @@ def test_solver_failure_exit_code(toy_tmp, tmp_path, monkeypatch, capsys):
     assert cli.main(["clear", str(toy_tmp)]) == 3
     assert "solver failed: no budget left" in capsys.readouterr().err
     assert not (tmp_path / "toy.solution.json").exists()
+
+
+@pytest.mark.parametrize("shape", ("mic-zero-fixed-cost", "mic-heavy-no-blocks", "large-blocks"))
+def test_clear_exit_codes_on_fuzz_shapes_with_binaries(tmp_path, capsys, shape):
+    path = tmp_path / "case.json"
+    write_instance(generate(dataclasses.replace(SHAPES[shape], seed=1)), path)
+    for heuristic in ([], ["--heuristic", "staged"]):
+        assert cli.main(["clear", str(path), *heuristic]) == cli.EXIT_OK, (shape, heuristic)
+        line = capsys.readouterr().out
+        gap = float(line.split(" gap=")[1].split()[0])
+        assert math.isfinite(gap), (shape, heuristic, line)
+        report = json.loads((tmp_path / "case.report.json").read_text())
+        assert report["overall_pass"] is True, (shape, heuristic)

@@ -14,7 +14,8 @@ from damclear.engine import (
     staged_clear,
 )
 from damclear.fileio import GeneratorConfig, generate
-from damclear.model import Instance, single_node_network
+from damclear.model import Instance, InvalidInstanceError, single_node_network
+from damclear.oracle import enumerate_selections
 from damclear.verify import verify_equilibrium
 
 from conftest import make_crossing_pair, make_day, make_mic, make_pab_chain, make_toy
@@ -68,6 +69,15 @@ def test_empty_instance_clears_to_zero():
     assert sol.welfare == 0.0
     assert sol.traded_volume == 0.0
     assert verify_equilibrium(inst, sol).overall_pass
+
+
+def test_clear_rejects_a_malformed_instance():
+    # the model build validates the instance; the pipeline does not repeat it
+    toy = make_toy()
+    bad = replace(toy, hourly_bids=toy.hourly_bids + toy.hourly_bids[:1])
+    for pipeline in (clear, staged_clear):
+        with pytest.raises(InvalidInstanceError, match="duplicate hourly"):
+            pipeline(bad, ClearingRequest())
 
 
 def test_request_validation():
@@ -131,12 +141,20 @@ def test_compare_pab_models_chain():
 
 
 def _mic_instance():
-    # 5 blocks and 2 MIC bids; under pcr welfare the start is handed off
-    # (welfare 14716.86 against the bound) and stage 2 finds 15484.46
+    # 5 blocks and 2 MIC bids; under pcr welfare the rounding (welfare
+    # 14716.86) is not certified by the relaxation bound, the branch-and-
+    # bound closes at 15484.46, and without it stage 2 finds 15484.46
     return generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
 
 
+def _without_branching(monkeypatch):
+    """Send an uncertified rounding straight to the MIP: the branch-and-
+    bound certifies these small instances, so they would never reach it."""
+    monkeypatch.setattr(engine, "_BRANCH_LPS", 0)
+
+
 def test_heuristic_mic_block_matches_exact(monkeypatch):
+    _without_branching(monkeypatch)
     inst = _mic_instance()
     request = ClearingRequest()
     _, start = engine._relaxation_start(build_request_model(inst, request), request)
@@ -162,6 +180,7 @@ def test_heuristic_mic_block_matches_exact(monkeypatch):
 def test_heuristic_mic_block_kept_warm_start_reports_gap(monkeypatch):
     # a zero stage-3 time limit keeps the stage-2 point, which has no bound
     # of HiGHS's own: it gets the relaxation bound and a finite gap
+    _without_branching(monkeypatch)
     inst = _mic_instance()
     request = ClearingRequest()
     bound, _ = engine._relaxation_start(build_request_model(inst, request), request)
@@ -180,6 +199,7 @@ def test_heuristic_mic_block_kept_warm_start_reports_gap(monkeypatch):
 def test_kept_start_gets_the_relaxation_bound(monkeypatch):
     # the toy's start (welfare 450) is 0.089 below its relaxation bound
     # (490); a MIP stopped by a zero time limit keeps it without a bound
+    _without_branching(monkeypatch)
     toy = make_toy()
     request = ClearingRequest()
     bound, start = engine._relaxation_start(build_request_model(toy, request), request)
@@ -195,7 +215,8 @@ def test_kept_start_gets_the_relaxation_bound(monkeypatch):
     assert verify_equilibrium(toy, sol).overall_pass
 
 
-def test_heuristic_volume_matches_exact():
+def test_heuristic_volume_matches_exact(monkeypatch):
+    _without_branching(monkeypatch)
     toy = make_toy()
     trace = {}
     sol = staged_clear(toy, ClearingRequest(objective="volume"), trace=trace)
@@ -207,7 +228,8 @@ def test_heuristic_volume_matches_exact():
     assert verify_equilibrium(toy, sol).overall_pass
 
 
-def test_heuristic_min_oc_matches_exact():
+def test_heuristic_min_oc_matches_exact(monkeypatch):
+    _without_branching(monkeypatch)
     toy = make_toy()
     trace = {}
     sol = staged_clear(toy, ClearingRequest(objective="min_opportunity_cost"), trace=trace)
@@ -302,6 +324,7 @@ def test_certified_relaxation_start_skips_the_mip(monkeypatch):
 
 
 def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch):
+    _without_branching(monkeypatch)
     inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
     request = ClearingRequest()
     bound, start = engine._relaxation_start(build_request_model(inst, request), request)
@@ -314,6 +337,91 @@ def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch):
     np.testing.assert_array_equal(calls[0], start.columns)
     assert sol.welfare >= start.objective - 1e-9 * (1.0 + abs(start.objective))
     assert verify_equilibrium(inst, sol).overall_pass
+
+
+def _lp_count(start):
+    # the start's message reads "<method>, <n> LPs, <fate>"
+    return int(start.message.split(", ")[1].split()[0])
+
+
+def test_branch_and_bound_certifies_the_mic_instance_without_a_mip(monkeypatch):
+    inst = _mic_instance()
+    request = ClearingRequest()
+    model = build_request_model(inst, request)
+    want = engine._finalize(inst, model, be.solve_mip(model, request.solve_options), request).welfare
+    _, start = engine._relaxation_start(model, request)
+    assert start.status == "optimal" and start.message.startswith("LP branch-and-bound, ")
+    calls = _count_mip_calls(monkeypatch)
+    sol = clear(inst, request)
+    assert calls == []
+    assert sol.solver_status == "optimal"
+    assert sol.solver_gap <= request.solve_options.relative_gap_target
+    assert abs(sol.welfare - want) <= 1e-6 * (1.0 + abs(want))
+    assert verify_equilibrium(inst, sol).overall_pass
+
+
+@pytest.mark.parametrize("stop", ("failed node LP", "spent budget"))
+def test_open_branch_and_bound_hands_the_rounding_to_the_mip(monkeypatch, stop):
+    # the search stops: the rounding and the relaxation bound go to the MIP
+    # exactly as they would without it
+    inst = _mic_instance()
+    request = ClearingRequest()
+    model = build_request_model(inst, request)
+    with monkeypatch.context() as patch:
+        _without_branching(patch)
+        rounding_bound, rounding = engine._relaxation_start(model, request)
+    failed = []
+    if stop == "spent budget":
+        monkeypatch.setattr(engine, "_BRANCH_LPS", 3)
+    else:
+        real = be.LpSession.bound
+
+        def failing(session, lo, hi):
+            if np.array_equal(lo, hi):  # a fixed selection, as the rounding runs
+                return real(session, lo, hi)
+            failed.append(None)
+            return be.SolveOutcome("solver_failed", None, None, 0.0)
+
+        monkeypatch.setattr(be.LpSession, "bound", failing)
+    bound, start = engine._relaxation_start(model, request)
+    assert len(failed) == (stop == "failed node LP")
+    assert _lp_count(start) == _lp_count(rounding) + (3 if stop == "spent budget" else 0)
+    assert bound == rounding_bound and start.best_bound == rounding.best_bound
+    assert start.status == "feasible_gap" and start.message.startswith("LP-relaxation rounding, ")
+    np.testing.assert_array_equal(start.columns, rounding.columns)
+    calls = _count_mip_calls(monkeypatch)
+    sol = clear(inst, request)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], rounding.columns)
+    assert sol.solver_status == "optimal"
+    assert verify_equilibrium(inst, sol).overall_pass
+
+
+@pytest.mark.parametrize("target", (1e-6, 1e-2))
+def test_branch_and_bound_bound_brackets_the_oracle_optimum(target):
+    # the bound may pass the optimum only by the LP tolerance; at the looser
+    # target pruned nodes leave it strictly beyond the incumbent
+    separated = 0
+    for inst in (make_toy(), _mic_instance()):
+        for rules in ("pcr", "umfs"):
+            optima = enumerate_selections(inst, rules=rules).optima
+            for objective in VALUE:
+                request = ClearingRequest(objective=objective, rules=rules,
+                                          solve_options=be.SolveOptions(relative_gap_target=target))
+                model = build_request_model(inst, request)
+                bound, start = engine._relaxation_start(model, request)
+                if not start.message.startswith("LP branch-and-bound, "):
+                    continue
+                sign = 1.0 if model.objective_sense == "max" else -1.0
+                want = optima[objective].value
+                case = (rules, objective)
+                assert start.status == "optimal" and start.best_bound == bound, case
+                assert sign * (bound - want) >= -be.LP_FEASIBILITY_TOL * (1.0 + abs(want)), case
+                assert start.mip_gap <= target, case
+                assert abs(start.objective - want) <= target * (1.0 + abs(want)), case
+                separated += sign * (bound - start.objective) > 1e-9 * (1.0 + abs(want))
+    if target > 1e-3:
+        assert separated
 
 
 def test_binary_free_model_builds_no_lp_session(monkeypatch):
@@ -372,6 +480,7 @@ class _CountingBackend:
 
 
 def test_registry_is_the_route_to_the_backend(monkeypatch):
+    _without_branching(monkeypatch)
     calls = []
     monkeypatch.setitem(be._REGISTRY, "counting", _CountingBackend(calls))
     monkeypatch.setenv("DAMCLEAR_BACKEND", "counting")

@@ -6,7 +6,7 @@ grid, the spread of limit prices, the size of bid powers, or the mix of
 block and MIC bids. A fixed seed list runs through clear and
 staged_clear under both rule sets and all three objectives; every result
 must match the oracle's optimum within 1e-6 (1 + |v|) and pass the
-verifier. The whole gate has a budget of 20 s; it takes about 11.5 s on
+verifier. The whole gate has a budget of 20 s; it takes about 4.5 s on
 a 2-core machine.
 """
 
