@@ -225,9 +225,11 @@ def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
     objective is within target of the incumbent (the gap |a-b|/(1+|b|)).
     A node with integral binaries is followed by its selection fixed, which
     becomes the incumbent unless it is pruned, so an incumbent is always
-    priced by the LP that checked its selection. Any other node branches on
-    its most fractional binary, nearer side first. bound is the sense-aware
-    worst of the pruned nodes' objectives and the incumbent's. None when a
+    priced by the LP that checked its selection; the node's own objective
+    joins the pruned ones, since it bounds the integer points of its box
+    that the fixed LP does not cover. Any other node branches on its most
+    fractional binary, nearer side first. bound is the sense-aware worst
+    of the pruned nodes' objectives and the incumbent's. None when a
     node LP ends in any other status, when _BRANCH_LPS LPs are spent, or
     when the search closes without an incumbent.
     """
@@ -255,6 +257,9 @@ def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
             frac = np.abs(z - np.round(z))
             j = int(np.argmax(frac))
             if frac[j] <= be.INTEGER_FEASIBILITY_TOL:
+                # the fixed LP may come out infeasible or lower: this
+                # node's objective still bounds its subtree
+                pruned.append(out.objective)
                 nodes.append((np.round(z), np.round(z), None))
                 continue
             near = np.round(z[j])

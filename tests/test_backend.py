@@ -342,6 +342,35 @@ def test_lp_session_verdict_does_not_depend_on_order():
                 assert abs(a.objective - b.objective) <= 1e-9 * (1.0 + abs(a.objective)), rules
 
 
+def test_lp_session_bound_verdict_matches_a_cold_solve():
+    # the branch-and-bound prunes an infeasible node: a hot-started node LP
+    # must call a box infeasible exactly when a fresh solve of the bounded
+    # model does, whatever boxes came before it
+    models = list(_session_models())
+    inst = generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
+    models += [(objective, build_request_model(inst, ClearingRequest(objective=objective, rules="umfs")))
+               for objective in ("welfare", "volume", "min_opportunity_cost")]
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for case, m in models:
+        session = bk.LpSession(m)
+        n = session._cols.size
+        for _ in range(30):
+            free = rng.random(n) < 0.5
+            lo = np.where(free, 0.0, rng.integers(0, 2, n))
+            hi = np.where(free, 1.0, lo)
+            hot = session.bound(lo, hi)
+            cold_model = m.copy()
+            cold_model.lb[session._cols] = lo
+            cold_model.ub[session._cols] = hi
+            cold = bk.solve_lp(cold_model)
+            assert hot.status == cold.status, (case, lo, hi)
+            verdicts.add(hot.status)
+            if cold.status == "optimal":
+                assert abs(hot.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), (case, lo, hi)
+    assert verdicts == {"optimal", "infeasible"}
+
+
 def test_lp_session_spent_time_limit_runs_nothing():
     m = build_request_model(generate(GeneratorConfig(seed=5, n_blocks=4, n_mic=2)), ClearingRequest())
     session = bk.LpSession(m, bk.SolveOptions(time_limit=0.0))

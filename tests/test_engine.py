@@ -424,6 +424,47 @@ def test_branch_and_bound_bound_brackets_the_oracle_optimum(target):
         assert separated
 
 
+@pytest.mark.parametrize("child", ("lower", "infeasible"))
+def test_near_integral_node_keeps_its_bound(monkeypatch, child):
+    # a relaxation integral at the optimal selection but worth more than
+    # that selection's fixed LP: the rounding is not certified, and the
+    # search's fixed child (the same selection, priced lower, or ruled out)
+    # must leave the node's own objective as the bound
+    inst = _mic_instance()
+    request = ClearingRequest()
+    model = build_request_model(inst, request)
+    sel = engine._selection(model, be.solve_mip(model, request.solve_options))
+    real_init, real_bound = be.LpSession.__init__, be.LpSession.bound
+    lifted = []
+
+    def init(session, model, options=be.SolveOptions()):
+        real_init(session, model, options)
+        fixed = session.fix(sel["y"], sel["u"])
+        lifted.append(fixed.objective + 1e-3 * (1.0 + abs(fixed.objective)))
+        session.relaxation = replace(fixed, objective=lifted[-1])
+
+    branching = []
+    real_branch = engine._branch
+
+    def branch(*args):
+        branching.append(None)
+        return real_branch(*args)
+
+    def node_lp(session, lo, hi):
+        if branching and child == "infeasible":
+            return be.SolveOutcome("infeasible", None, None, 0.0)
+        return real_bound(session, lo, hi)
+
+    monkeypatch.setattr(be.LpSession, "__init__", init)
+    monkeypatch.setattr(be.LpSession, "bound", node_lp)
+    monkeypatch.setattr(engine, "_branch", branch)
+    bound, start = engine._relaxation_start(model, request)
+    assert branching
+    assert bound >= lifted[0] and start.best_bound >= lifted[0]
+    assert start.status == "feasible_gap" and start.mip_gap > request.solve_options.relative_gap_target
+    np.testing.assert_array_equal(np.round(engine._binaries(model, start.columns)), np.r_[sel["y"], sel["u"]])
+
+
 def test_binary_free_model_builds_no_lp_session(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("LpSession built for a model without binaries")
