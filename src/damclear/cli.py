@@ -18,12 +18,7 @@ import time
 
 from . import fileio
 from .backend import SolveOptions
-from .engine import (
-    ClearingError,
-    ClearingRequest,
-    clear,
-    staged_clear,
-)
+from .engine import ClearingError, ClearingRequest, clear
 from .oracle import OracleGuardError, enumerate_selections
 
 # verify_mic_income is not called here (verify_equilibrium computes the
@@ -61,12 +56,6 @@ def _request(args) -> ClearingRequest:
             random_seed=args.seed,
         ),
     )
-
-
-def _solve(instance, request, heuristic: str):
-    if heuristic == "staged":
-        return staged_clear(instance, request)
-    return clear(instance, request)
 
 
 def _objective_value(solution, objective):
@@ -111,7 +100,7 @@ def _cmd_clear(args) -> int:
     request = _request(args)
     t0 = time.perf_counter()
     try:
-        solution = _solve(instance, request, args.heuristic)
+        solution = clear(instance, request)
     except ClearingError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -199,7 +188,7 @@ def _cmd_compare(args) -> int:
         args.objective = flag
         request = _request(args)
         try:
-            solution = _solve(instance, request, args.heuristic)
+            solution = clear(instance, request)
         except ClearingError as exc:
             print(f"solver failed on {flag}: {exc}", file=sys.stderr)
             return EXIT_SOLVER
@@ -238,8 +227,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--rules", choices=("pcr", "umfs"), default="pcr")
         p.add_argument(
             "--heuristic", choices=("off", "staged"), default="off",
-            help="staged: when the LP-relaxation start is not certified, run two "
-            "objective-specific MIP stages before the full MIP (default: off)",
+            help="accepted for compatibility; both values run the same clear",
         )
         p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
         p.add_argument("--gap", type=float, default=SolveOptions.relative_gap_target, metavar="FRACTION")

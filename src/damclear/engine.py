@@ -1,17 +1,14 @@
-"""Clearing pipelines.
+"""The clearing pipeline.
 
-clear() and staged_clear() share one pipeline. It builds the primal-dual
-model for the requested rules and objective and rounds its LP relaxation
-into an admissible selection (stage 0). A rounding that the relaxation
-bound does not certify is closed by a depth-first LP branch-and-bound on
-the same LP. A start certified either way keeps the prices and surpluses
-of the LP that checked its selection. Otherwise (the search failed or ran
-out of LPs) one MILP solve starts from the rounding; staged_clear() first
-runs two objective-specific stages (1 and 2) and starts that solve
-(stage 3) from the better of the start and the stage-2 point. Unless the
-solve keeps the start, the LP is re-solved with the winning selection
-fixed to get clean prices (duals are never trusted from the integer
-search).
+clear() builds the primal-dual model for the requested rules and
+objective and rounds its LP relaxation into an admissible selection. A
+rounding that the relaxation bound does not certify is closed by a
+depth-first LP branch-and-bound on the same LP. A start certified either
+way keeps the prices and surpluses of the LP that checked its selection.
+Otherwise (the search failed or ran out of LPs) one MILP solve starts
+from the rounding. Unless that solve keeps the start, the LP is re-solved
+with the winning selection fixed to get clean prices (duals are never
+trusted from the integer search).
 
 Solutions come back canonicalized: coordinates the equilibrium leaves free
 (an accepted block's split between surplus and compensation, a rejected
@@ -45,9 +42,8 @@ class ClearingRequest:
 
     rules='pcr' forbids paradoxically accepted blocks (no losses, no
     compensations); rules='umfs' allows them, compensated through d_accept.
-    solve_options.time_limit bounds a clear as a whole: staged_clear()
-    gives stages 1 and 2 a quarter of it each, and the MIP gets what the
-    earlier stages left.
+    solve_options.time_limit bounds a clear as a whole: the relaxation
+    start runs under it, and the MIP gets what the start left.
     """
 
     objective: str = "welfare"
@@ -78,10 +74,6 @@ def build_request_model(instance: Instance, request: ClearingRequest) -> milp.Mi
     return model
 
 
-def _mip_options(request: ClearingRequest, time_limit: Optional[float]) -> be.SolveOptions:
-    return replace(request.solve_options, time_limit=time_limit)
-
-
 def _gap(bound: float, value: float) -> float:
     """The relative gap between a bound and an objective value, |b-v|/(1+|v|)."""
     return abs(bound - value) / (1.0 + abs(value))
@@ -89,7 +81,7 @@ def _gap(bound: float, value: float) -> float:
 
 def _gap_of(outcome: be.SolveOutcome) -> float:
     # inf means no bound is known: a MIP outcome without the solver's
-    # bound carries the relaxation bound (see _clear); a model without
+    # bound carries the relaxation bound (see clear); a model without
     # integer columns has neither
     if outcome.mip_gap is not None:
         return float(outcome.mip_gap)
@@ -338,40 +330,6 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
     )
 
 
-def _clear(
-    instance: Instance, request: ClearingRequest, staged: bool, trace: Optional[dict] = None
-) -> ClearingSolution:
-    """The pipeline behind clear and staged_clear (see staged_clear); the
-    model build validates the instance."""
-    model = build_request_model(instance, request)
-    t0 = time.perf_counter()
-    bound, start = _relaxation_start(model, request)
-    outcome = warm = start
-    objectives = [None if start is None else start.objective]
-    if start is None or start.status != "optimal":
-        limit = request.solve_options.time_limit
-        if staged and model.n_binary:  # without binaries stages 1-2 can only return the LP optimum
-            stages = _mic_then_blocks if request.objective == "welfare" else _welfare_then_target
-            out1, out2 = stages(model, _mip_options(request, None if limit is None else 0.25 * limit))
-            objectives += [out1.objective, out2.objective]
-            sign = 1.0 if model.objective_sense == "max" else -1.0
-            # on a tie within rounding noise the start, already priced, stays
-            if out2.has_solution and (start is None or sign * (out2.objective - start.objective)
-                                      > 1e-9 * (1.0 + abs(start.objective))):
-                warm = out2
-        model.warm_start = None if warm is None else warm.columns
-        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
-        outcome = be.solve_mip(model, _mip_options(request, left))
-        objectives.append(outcome.objective)
-        if outcome.best_bound is None:
-            outcome = replace(outcome, best_bound=bound)
-    if trace is not None:
-        trace["stage_objectives"] = objectives
-    if start is None or not np.array_equal(outcome.columns, start.columns):
-        return _finalize(instance, model, outcome, request)
-    return assemble_solution(instance, model, start.columns, _gap_of(outcome), outcome.status)
-
-
 def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> ClearingSolution:
     """Single-shot clearing under the requested objective and rules.
 
@@ -381,71 +339,29 @@ def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> C
     closes within that target, is certified and the MIP is skipped. When
     neither certifies a start, the rounding becomes the MIP's warm start
     and the MIP gets what is left of the time limit. A certified start, or
-    one the MIP keeps, is priced by the LP that checked its selection; any
-    other MIP outcome by _finalize.
+    one the MIP keeps, is priced by the LP that checked its selection and
+    carries the relaxation bound when the MIP has none of its own; any
+    other MIP outcome is priced by _finalize. The model build validates
+    the instance.
     """
-    return _clear(instance, request, staged=False)
-
-
-def _pinned(model: milp.MilpModel, **values) -> milp.MilpModel:
-    """A copy of the model with each named column group fixed to its values."""
-    out = model.copy()
-    for role, value in values.items():
-        out.lb[out.roles[role]] = value
-        out.ub[out.roles[role]] = value
-    return out
+    model = build_request_model(instance, request)
+    t0 = time.perf_counter()
+    bound, start = _relaxation_start(model, request)
+    outcome = start
+    if start is None or start.status != "optimal":
+        model.warm_start = None if start is None else start.columns
+        limit = request.solve_options.time_limit
+        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
+        outcome = be.solve_mip(model, replace(request.solve_options, time_limit=left))
+        if outcome.best_bound is None:
+            outcome = replace(outcome, best_bound=bound)
+    if start is None or not np.array_equal(outcome.columns, start.columns):
+        return _finalize(instance, model, outcome, request)
+    return assemble_solution(instance, model, start.columns, _gap_of(outcome), outcome.status)
 
 
 def _selection(model: milp.MilpModel, outcome: be.SolveOutcome) -> dict:
     return {role: np.round(outcome.columns[model.roles[role]]) for role in ("y", "u")}
-
-
-def _mic_then_blocks(model, options):
-    """Stages 1 and 2 for welfare: MIC bids with every block rejected, then
-    the blocks under that frozen MIC selection, warm-started."""
-    out1 = be.solve_mip(_pinned(model, y=0.0), options)
-    if not out1.has_solution:
-        return out1, out1  # no MIC selection to freeze
-    m2 = _pinned(model, u=_selection(model, out1)["u"])
-    m2.warm_start = out1.columns
-    return out1, be.solve_mip(m2, options)
-
-
-def _welfare_then_target(model, options):
-    """Stages 1 and 2 for volume and min-oc: maximize welfare on a copy of
-    the model, then re-optimize the request's objective over that selection."""
-    welfare = model.copy()
-    milp.set_objective(welfare, "welfare")
-    out1 = be.solve_mip(welfare, options)
-    if not out1.has_solution:
-        return out1, out1  # no selection to re-optimize over
-    return out1, be.resolve_duals(model, **_selection(model, out1), options=replace(options, warm_start=None))
-
-
-def staged_clear(
-    instance: Instance, request: ClearingRequest = ClearingRequest(), trace: Optional[dict] = None
-) -> ClearingSolution:
-    """clear with two objective-specific stages in front of its MIP.
-
-    Stage 0 is clear's start, rounded from the relaxation or closed by its
-    LP branch-and-bound; a certified start is returned as it is, and the
-    later stages do not run. Otherwise:
-    welfare: stage 1 fixes every block to rejected and settles the MIC
-    binaries, stage 2 freezes that MIC selection and frees the blocks
-    (MIC bids dominate hardness, so settling them early prunes the tree).
-    volume and min_opportunity_cost: stage 1 maximizes welfare, stage 2
-    re-optimizes the request's objective as an LP over the welfare
-    selection (resolve_duals). Stages 1 and 2 get a quarter of the
-    request's time limit each; a stage that finds nothing leaves the start
-    alone. Stage 3 is clear's MIP on the full model, warm-started from the
-    better of the start and the stage-2 point, with what is left of the
-    time limit. A trace dict, when given, receives
-    ``stage_objectives``: stage 0's objective first (None when no rounding
-    was admissible), then stages 1, 2 and 3 when they ran; a certified
-    start leaves one entry. Stage 1 of volume and min_opportunity_cost is
-    in welfare units.
-    """
-    return _clear(instance, request, staged=True, trace=trace)
 
 
 def compare_pab_models(instance: Instance, request: ClearingRequest = ClearingRequest()) -> dict:

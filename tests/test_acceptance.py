@@ -4,9 +4,8 @@ Eight checks, one per shipped guarantee: the worked example through the
 CLI, a hundred-instance enumeration sweep over every objective and rule
 set, the nonlinear income condition, rule-set welfare dominance with the
 decomposition identity, the binary budget of the compiled models, the
-verifier's discrimination on doctored solutions, a staged full-scale run,
-and the existence of objective trade-offs. A ninth check runs the same
-full-scale day through the single-shot clear.
+verifier's discrimination on doctored solutions, a full-scale run, and
+the existence of objective trade-offs.
 """
 
 import json
@@ -18,12 +17,7 @@ import pytest
 
 import damclear.cli as cli
 from damclear.backend import SolveOptions
-from damclear.engine import (
-    ClearingRequest,
-    clear,
-    compare_pab_models,
-    staged_clear,
-)
+from damclear.engine import ClearingRequest, clear, compare_pab_models
 from damclear.fileio import GeneratorConfig, generate
 from damclear.milp import build_model
 from damclear.oracle import enumerate_selections
@@ -198,9 +192,8 @@ def _full_scale_day():
 @pytest.mark.slow
 def test_criterion_7_scale_smoke():
     """A full-size day (5088 hourly bids, 50 blocks, 20 MIC bids, 4
-    locations, 24 periods) clears through the staged heuristic inside ten
-    minutes at a 0.2% gap, with stage objectives that never get worse and
-    a verifying solution."""
+    locations, 24 periods) clears inside ten minutes to an optimal
+    solution at a 0.2% gap, and the solution verifies."""
     instance = _full_scale_day()
     assert len(instance.hourly_bids) == 5088
     assert len(instance.block_bids) == 50
@@ -211,42 +204,13 @@ def test_criterion_7_scale_smoke():
         rules="pcr",
         solve_options=SolveOptions(relative_gap_target=0.002, time_limit=580.0),
     )
-    trace = {}
     t0 = time.perf_counter()
-    solution = staged_clear(instance, request, trace=trace)
+    solution = clear(instance, request)
     wall = time.perf_counter() - t0
     assert wall < 600.0
-    assert solution.solver_gap <= 0.002
-
-    # stage 0 (the relaxation-rounding start) first; stages 1-3 follow
-    # only when the start is not certified, and stage 3 starts from the
-    # better of stage 0 and stage 2
-    stages = trace["stage_objectives"]
-    assert len(stages) in (1, 4) and stages[0] is not None
-    slack = 1e-6 * (1.0 + abs(stages[-1]))
-    if len(stages) == 4:
-        assert stages[1] <= stages[2] + slack
-        assert max(stages[0], stages[2]) <= stages[3] + slack
-    assert solution.welfare == pytest.approx(stages[-1], rel=1e-6)
-
-    rep = verify_equilibrium(instance, solution, rules="pcr")
-    assert rep.overall_pass, rep.failing_families()
-    assert verify_mic_income(instance, solution).passed
-
-
-@pytest.mark.slow
-def test_plain_clear_on_full_scale_day():
-    """The single-shot clear reaches the 0.2% gap on the full-size day and
-    its solution verifies."""
-    instance = _full_scale_day()
-    request = ClearingRequest(
-        objective="welfare",
-        rules="pcr",
-        solve_options=SolveOptions(relative_gap_target=0.002),
-    )
-    solution = clear(instance, request)
     assert solution.solver_status == "optimal"
     assert solution.solver_gap <= 0.002
+
     rep = verify_equilibrium(instance, solution, rules="pcr")
     assert rep.overall_pass, rep.failing_families()
     assert verify_mic_income(instance, solution).passed

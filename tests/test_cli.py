@@ -42,8 +42,13 @@ def test_clear_other_objectives(toy_tmp, capsys):
 
 
 def test_clear_staged_heuristic(toy_tmp, capsys):
+    # --heuristic is kept for compatibility: every value runs the same clear
     assert cli.main(["clear", str(toy_tmp), "--heuristic", "staged"]) == 0
-    assert capsys.readouterr().out.startswith("welfare=450 ")
+    staged = capsys.readouterr().out.split(" wall=")[0]
+    assert staged.startswith("welfare=450 gap=")
+    for heuristic in ([], ["--heuristic", "off"]):
+        assert cli.main(["clear", str(toy_tmp), *heuristic]) == 0
+        assert capsys.readouterr().out.split(" wall=")[0] == staged, heuristic
 
 
 def test_clear_out_prefix(toy_tmp, tmp_path, capsys):
@@ -223,10 +228,9 @@ def test_solver_failure_exit_code(toy_tmp, tmp_path, monkeypatch, capsys):
 def test_clear_exit_codes_on_fuzz_shapes_with_binaries(tmp_path, capsys, shape):
     path = tmp_path / "case.json"
     write_instance(generate(dataclasses.replace(SHAPES[shape], seed=1)), path)
-    for heuristic in ([], ["--heuristic", "staged"]):
-        assert cli.main(["clear", str(path), *heuristic]) == cli.EXIT_OK, (shape, heuristic)
-        line = capsys.readouterr().out
-        gap = float(line.split(" gap=")[1].split()[0])
-        assert math.isfinite(gap), (shape, heuristic, line)
-        report = json.loads((tmp_path / "case.report.json").read_text())
-        assert report["overall_pass"] is True, (shape, heuristic)
+    assert cli.main(["clear", str(path)]) == cli.EXIT_OK, shape
+    line = capsys.readouterr().out
+    gap = float(line.split(" gap=")[1].split()[0])
+    assert math.isfinite(gap), (shape, line)
+    report = json.loads((tmp_path / "case.report.json").read_text())
+    assert report["overall_pass"] is True, shape

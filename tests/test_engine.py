@@ -11,7 +11,6 @@ from damclear.engine import (
     build_request_model,
     clear,
     compare_pab_models,
-    staged_clear,
 )
 from damclear.fileio import GeneratorConfig, generate
 from damclear.model import Instance, InvalidInstanceError, single_node_network
@@ -75,9 +74,8 @@ def test_clear_rejects_a_malformed_instance():
     # the model build validates the instance; the pipeline does not repeat it
     toy = make_toy()
     bad = replace(toy, hourly_bids=toy.hourly_bids + toy.hourly_bids[:1])
-    for pipeline in (clear, staged_clear):
-        with pytest.raises(InvalidInstanceError, match="duplicate hourly"):
-            pipeline(bad, ClearingRequest())
+    with pytest.raises(InvalidInstanceError, match="duplicate hourly"):
+        clear(bad, ClearingRequest())
 
 
 def test_request_validation():
@@ -143,7 +141,7 @@ def test_compare_pab_models_chain():
 def _mic_instance():
     # 5 blocks and 2 MIC bids; under pcr welfare the rounding (welfare
     # 14716.86) is not certified by the relaxation bound, the branch-and-
-    # bound closes at 15484.46, and without it stage 2 finds 15484.46
+    # bound closes at 15484.46, and without it the MIP finds 15484.46
     return generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
 
 
@@ -151,49 +149,6 @@ def _without_branching(monkeypatch):
     """Send an uncertified rounding straight to the MIP: the branch-and-
     bound certifies these small instances, so they would never reach it."""
     monkeypatch.setattr(engine, "_BRANCH_LPS", 0)
-
-
-def test_heuristic_mic_block_matches_exact(monkeypatch):
-    _without_branching(monkeypatch)
-    inst = _mic_instance()
-    request = ClearingRequest()
-    _, start = engine._relaxation_start(build_request_model(inst, request), request)
-    assert start.status == "feasible_gap"
-    exact = clear(inst, request)
-    calls = _count_mip_calls(monkeypatch)
-    trace = {}
-    sol = staged_clear(inst, request, trace=trace)
-    assert sol.welfare == pytest.approx(exact.welfare, abs=1e-6)
-    stages = trace["stage_objectives"]
-    assert len(stages) == 4 and stages[0] == start.objective
-    slack = 1e-9 * (1.0 + abs(stages[3]))
-    # blocks-rejected stage cannot beat the full model; later stages improve
-    assert stages[1] <= stages[2] + slack
-    assert stages[2] > stages[0] + 1.0
-    assert stages[3] >= stages[2] - slack
-    # stage 3 starts from the stage-2 point, the better of the two
-    assert len(calls) == 3
-    assert float(build_request_model(inst, request).objective @ calls[2]) == pytest.approx(stages[2])
-    assert verify_equilibrium(inst, sol).overall_pass
-
-
-def test_heuristic_mic_block_kept_warm_start_reports_gap(monkeypatch):
-    # a zero stage-3 time limit keeps the stage-2 point, which has no bound
-    # of HiGHS's own: it gets the relaxation bound and a finite gap
-    _without_branching(monkeypatch)
-    inst = _mic_instance()
-    request = ClearingRequest()
-    bound, _ = engine._relaxation_start(build_request_model(inst, request), request)
-    _count_mip_calls(monkeypatch, zero_time_limit_on=3)
-    trace = {}
-    sol = staged_clear(inst, request, trace=trace)
-    stages = trace["stage_objectives"]
-    assert stages[3] == stages[2]
-    assert sol.solver_status == "feasible_gap"
-    assert sol.welfare == pytest.approx(stages[2], rel=1e-9)
-    assert sol.solver_gap == pytest.approx(abs(bound - stages[2]) / (1.0 + abs(stages[2])))
-    assert 0.0 < sol.solver_gap < 1.0
-    assert verify_equilibrium(inst, sol).overall_pass
 
 
 def test_kept_start_gets_the_relaxation_bound(monkeypatch):
@@ -215,68 +170,18 @@ def test_kept_start_gets_the_relaxation_bound(monkeypatch):
     assert verify_equilibrium(toy, sol).overall_pass
 
 
-def test_heuristic_volume_matches_exact(monkeypatch):
-    _without_branching(monkeypatch)
-    toy = make_toy()
-    trace = {}
-    sol = staged_clear(toy, ClearingRequest(objective="volume"), trace=trace)
-    assert sol.traded_volume == pytest.approx(20.0, abs=1e-6)
-    stages = trace["stage_objectives"]
-    # the start (20) is handed off; stage 1 is welfare (450); stage 2
-    # re-optimizes volume on that selection
-    assert stages == pytest.approx([20.0, 450.0, 10.0, 20.0], abs=1e-6)
-    assert verify_equilibrium(toy, sol).overall_pass
-
-
-def test_heuristic_min_oc_matches_exact(monkeypatch):
-    _without_branching(monkeypatch)
-    toy = make_toy()
-    trace = {}
-    sol = staged_clear(toy, ClearingRequest(objective="min_opportunity_cost"), trace=trace)
-    assert sol.total_opportunity_cost == pytest.approx(50.0, abs=1e-6)
-    stages = trace["stage_objectives"]
-    # the start and the welfare selection {C} carry OC 800; the full
-    # stage finds {D} at 50
-    assert stages == pytest.approx([800.0, 450.0, 800.0, 50.0], abs=1e-6)
-    assert verify_equilibrium(toy, sol).overall_pass
-
-
-def test_staged_matches_exact_on_seeded_instances():
-    for seed in range(1, 7):
-        inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
-        for rules in ("pcr", "umfs"):
-            for objective, get in VALUE.items():
-                request = ClearingRequest(objective=objective, rules=rules)
-                staged = staged_clear(inst, request)
-                exact = get(clear(inst, request))
-                got = get(staged)
-                case = (seed, rules, objective)
-                assert abs(got - exact) <= 1e-6 * (1.0 + abs(exact)), (case, got, exact)
-                rep = verify_equilibrium(inst, staged, rules=rules)
-                assert rep.overall_pass, (case, rep.failing_families())
-
-
-def test_staged_clear_certifies_a_day_whose_stage_1_runs_out():
-    # stage 1 of this day (MIC bids only, blocks rejected) needs longer
-    # than its quarter of the time limit; the start certifies the day
+def test_clear_certifies_a_day_under_a_time_limit(monkeypatch):
+    # the start certifies this 2 x 24 day, so no MIP runs under the limit
     inst = make_day(3)
     request = ClearingRequest(
         rules="pcr", solve_options=be.SolveOptions(relative_gap_target=0.002, time_limit=120.0)
     )
-    trace = {}
-    sol = staged_clear(inst, request, trace=trace)
+    calls = _count_mip_calls(monkeypatch)
+    sol = clear(inst, request)
+    assert calls == []
     assert sol.solver_status == "optimal"
     assert sol.solver_gap <= 0.002
-    assert len(trace["stage_objectives"]) == 1
     assert verify_equilibrium(inst, sol).overall_pass
-
-
-def test_heuristics_flag_infeasible_budget():
-    # a near-zero time limit leaves every stage without a point; that
-    # must surface as a ClearingError, not hang
-    inst = make_mic(1000.0)
-    with pytest.raises(ClearingError):
-        staged_clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=4e-9)))
 
 
 def test_solution_reports_gap_and_status():
@@ -323,19 +228,37 @@ def test_certified_relaxation_start_skips_the_mip(monkeypatch):
     assert resolves == []
 
 
-def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch):
+@pytest.mark.parametrize("objective, start_value, want", (
+    ("welfare", None, None),
+    ("volume", 20.0, 20.0),
+    ("min_opportunity_cost", 800.0, 50.0),
+), ids=("welfare", "volume", "min_opportunity_cost"))
+def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch, objective, start_value, want):
+    # welfare on a seeded instance with MIC bids; the toy's volume start
+    # is kept by the MIP, and its min-oc start ({C}) is beaten by {D}
     _without_branching(monkeypatch)
-    inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
-    request = ClearingRequest()
-    bound, start = engine._relaxation_start(build_request_model(inst, request), request)
+    if objective == "welfare":
+        inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
+    else:
+        inst = make_toy()
+    request = ClearingRequest(objective=objective)
+    model = build_request_model(inst, request)
+    bound, start = engine._relaxation_start(model, request)
     assert start.status == "feasible_gap" and start.used_warm_start
     assert start.best_bound == bound
-    assert start.best_bound >= start.objective
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    assert sign * (start.best_bound - start.objective) >= 0.0
+    if start_value is not None:
+        assert start.objective == pytest.approx(start_value, abs=1e-6)
     calls = _count_mip_calls(monkeypatch)
     sol = clear(inst, request)
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0], start.columns)
-    assert sol.welfare >= start.objective - 1e-9 * (1.0 + abs(start.objective))
+    got = VALUE[objective](sol)
+    assert sign * (got - start.objective) >= -1e-9 * (1.0 + abs(start.objective))
+    if want is not None:
+        assert got == pytest.approx(want, abs=1e-6)
+    assert sol.solver_status == "optimal"
     assert verify_equilibrium(inst, sol).overall_pass
 
 
@@ -479,28 +402,17 @@ def test_binary_free_model_builds_no_lp_session(monkeypatch):
     assert verify_equilibrium(inst, sol).overall_pass
 
 
-@pytest.mark.parametrize("seed", (21, 42))
-def test_staged_clear_runs_no_stages_1_2_without_binaries(seed):
-    # sweep-family seeds 21 and 42 have no block and no MIC bid: stages 1-2
-    # could only return the LP optimum that the final solve finds
-    inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
-    for rules in ("pcr", "umfs"):
-        for objective, get in VALUE.items():
-            request = ClearingRequest(objective=objective, rules=rules)
-            trace = {}
-            staged = get(staged_clear(inst, request, trace=trace))
-            final = trace["stage_objectives"][-1]
-            assert trace["stage_objectives"] == [None, final], (rules, objective)
-            assert staged == pytest.approx(final, rel=1e-9, abs=1e-9)
-            assert staged == get(clear(inst, request)), (rules, objective)
-
-
-def test_spent_time_limit_falls_through_to_the_mip(monkeypatch):
-    # no relaxation LP runs, so the MIP is called as before, without a start
-    inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
+@pytest.mark.parametrize("case, time_limit", (("seeded", 0.0), ("mic", 4e-9)), ids=("seeded", "mic"))
+def test_spent_time_limit_falls_through_to_the_mip(monkeypatch, case, time_limit):
+    # the relaxation finds no start inside the limit, so the MIP is called
+    # without one and its empty-handed stop surfaces as a ClearingError
+    if case == "seeded":
+        inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
+    else:
+        inst = make_mic(1000.0)
     calls = _count_mip_calls(monkeypatch)
     with pytest.raises(ClearingError, match="time_limit_no_solution"):
-        clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=0.0)))
+        clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=time_limit)))
     assert calls == [None]
 
 
@@ -544,11 +456,6 @@ def test_registry_is_the_route_to_the_backend(monkeypatch):
     inst = generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
     assert verify_equilibrium(inst, clear(inst, ClearingRequest())).overall_pass
     assert calls == ["mip", "resolve", "lp"]
-    calls.clear()
-    # stages 1 and 2, then a MIP from the better stage-2 point, re-priced
-    inst = _mic_instance()
-    assert verify_equilibrium(inst, staged_clear(inst, ClearingRequest())).overall_pass
-    assert calls == ["mip", "mip", "mip", "resolve", "lp"]
 
 
 def test_clear_matches_mip_only_reference_on_seeded_instances():

@@ -3,17 +3,16 @@
 Each shape is a small GeneratorConfig (the enumeration oracle stays
 cheap) that bends one default: network capacities, the size of the
 grid, the spread of limit prices, the size of bid powers, or the mix of
-block and MIC bids. A fixed seed list runs through clear and
-staged_clear under both rule sets and all three objectives; every result
-must match the oracle's optimum within 1e-6 (1 + |v|) and pass the
-verifier. The whole gate has a budget of 20 s; it takes about 4.5 s on
-a 2-core machine.
+block and MIC bids. A fixed seed list runs through clear under both
+rule sets and all three objectives; every result must match the
+oracle's optimum within 1e-6 (1 + |v|) and pass the verifier. The whole
+gate has a budget of 20 s; it takes about 2 s on a 2-core machine.
 """
 
 import time
 from dataclasses import replace
 
-from damclear.engine import ClearingRequest, clear, staged_clear
+from damclear.engine import ClearingRequest, clear
 from damclear.fileio import GeneratorConfig, generate
 from damclear.oracle import enumerate_selections
 from damclear.verify import verify_equilibrium
@@ -57,7 +56,7 @@ VALUE = {
 }
 
 
-def test_fuzz_shapes_match_the_oracle_through_both_pipelines():
+def test_fuzz_shapes_match_the_oracle():
     t0 = time.perf_counter()
     for name, config in SHAPES.items():
         for seed in SEEDS:
@@ -66,13 +65,11 @@ def test_fuzz_shapes_match_the_oracle_through_both_pipelines():
                 oracle = enumerate_selections(instance, rules=rules)
                 for objective, get in VALUE.items():
                     want = oracle.optima[objective].value
-                    request = ClearingRequest(objective=objective, rules=rules)
-                    for pipeline in (clear, staged_clear):
-                        solution = pipeline(instance, request)
-                        case = (name, seed, rules, objective, pipeline.__name__)
-                        got = get(solution)
-                        assert solution.solver_status == "optimal", case
-                        assert abs(got - want) <= 1e-6 * (1.0 + abs(want)), (case, got, want)
-                        rep = verify_equilibrium(instance, solution, rules=rules)
-                        assert rep.overall_pass, (case, rep.failing_families())
+                    solution = clear(instance, ClearingRequest(objective=objective, rules=rules))
+                    case = (name, seed, rules, objective)
+                    got = get(solution)
+                    assert solution.solver_status == "optimal", case
+                    assert abs(got - want) <= 1e-6 * (1.0 + abs(want)), (case, got, want)
+                    rep = verify_equilibrium(instance, solution, rules=rules)
+                    assert rep.overall_pass, (case, rep.failing_families())
     assert time.perf_counter() - t0 < BUDGET_S
