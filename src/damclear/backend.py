@@ -4,7 +4,8 @@ The module functions solve_lp, solve_mip and resolve_duals return a
 SolveOutcome from the backend that get_backend() picks: the registry entry
 named by the DAMCLEAR_BACKEND environment variable, else the bundled
 implementation. That one sits on scipy's own HiGHS bindings
-(scipy.optimize._highspy): one HiGHS object per MIP solve, and one
+(scipy.optimize._highspy._core, loaded by damclear._highs without
+importing scipy.optimize): one HiGHS object per MIP solve, and one
 LpSession per LP solve. LpSession itself does not go through the registry:
 it always runs the bundled HiGHS, and so does the engine's
 relaxation-rounding start, which uses it directly.
@@ -33,11 +34,12 @@ HiGHS prints a few MIP messages with a raw printf that ignores its output
 flag; solve_mip captures fd 1 around the solve and counts them in the
 outcome's message.
 
-Every solve hands HiGHS the rows of MilpModel.constraint_matrix() with
-their interval bounds from MilpModel.row_bounds(). A run that ends
-without a point reports infeasible, unbounded, time_limit_no_solution
-(HiGHS's time limit only) or solver_failed (any other HiGHS status, named
-in the outcome's message).
+Every solve hands HiGHS the rows in the compressed-column arrays of
+MilpModel.constraint_csc(), with their interval bounds from
+MilpModel.row_bounds(). A run that ends without a point reports
+infeasible, unbounded, time_limit_no_solution (HiGHS's time limit only)
+or solver_failed (any other HiGHS status, named in the outcome's
+message).
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highspy
 
+from ._highs import core as _highspy
 from .milp import MilpModel
 
 _WS_VALIDATION_TOL = 1e-5
@@ -75,8 +77,9 @@ class SolveOptions:
     a clear as a whole (see engine.ClearingRequest).
     relative_gap_target is the MIP's stopping gap. warm_start is a full
     column vector; it falls back to the model's own warm_start slot when
-    absent. thread_count and random_seed go to HiGHS as given (None keeps
-    its default). The LP tolerance is the constant LP_FEASIBILITY_TOL.
+    absent (a ClearingRequest takes none: clear builds its own start).
+    thread_count and random_seed go to HiGHS as given (None keeps its
+    default). The LP tolerance is the constant LP_FEASIBILITY_TOL.
     """
 
     time_limit: Optional[float] = None
@@ -161,7 +164,7 @@ def _highs_options(options: SolveOptions):
 
 def _highs_lp(model: MilpModel):
     """The model as a HighsLp: CSC rows, interval row bounds, own sense."""
-    A = model.constraint_matrix().tocsc()
+    start, index, value = model.constraint_csc()
     lo, hi = model.row_bounds()
     lp = _highspy.HighsLp()
     lp.num_col_ = model.n_cols
@@ -176,9 +179,9 @@ def _highs_lp(model: MilpModel):
     lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
     lp.a_matrix_.num_col_ = model.n_cols
     lp.a_matrix_.num_row_ = model.n_rows
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     lp.integrality_ = [_highspy.HighsVarType(int(k)) for k in model.integrality]
     return lp
 

@@ -44,6 +44,7 @@ class ClearingRequest:
     compensations); rules='umfs' allows them, compensated through d_accept.
     solve_options.time_limit bounds a clear as a whole: the relaxation
     start runs under it, and the MIP gets what the start left.
+    solve_options.warm_start must be None: clear builds its own start.
     """
 
     objective: str = "welfare"
@@ -55,6 +56,8 @@ class ClearingRequest:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.rules not in RULESETS:
             raise ValueError(f"unknown rules {self.rules!r}")
+        if self.solve_options.warm_start is not None:
+            raise ValueError("a clearing request takes no warm start; clear builds its own")
 
 
 def build_request_model(instance: Instance, request: ClearingRequest) -> milp.MilpModel:
@@ -164,7 +167,7 @@ def _finalize(
 ) -> ClearingSolution:
     if not outcome.has_solution:
         raise ClearingError(f"no feasible solution within budget (solver: {outcome.status})")
-    options = replace(request.solve_options, time_limit=None, warm_start=None)
+    options = replace(request.solve_options, time_limit=None)
     resolved = be.resolve_duals(model, **_selection(model, outcome), options=options)
     if resolved.status != "optimal":
         raise ClearingError(
@@ -207,6 +210,17 @@ def _binaries(model: milp.MilpModel, columns: np.ndarray) -> np.ndarray:
     return np.r_[columns[model.roles["y"]], columns[model.roles["u"]]]
 
 
+def _children(lo: np.ndarray, hi: np.ndarray, j: int, sides) -> list:
+    """Search nodes for the box [lo, hi] with binary j fixed to each side;
+    the depth-first search pops the last one first."""
+    children = []
+    for side in sides:
+        child_lo, child_hi = lo.copy(), hi.copy()
+        child_lo[j] = child_hi[j] = side
+        children.append((child_lo, child_hi, None))
+    return children
+
+
 def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
             incumbent: Optional[be.SolveOutcome], target: float) -> Optional[tuple]:
     """Depth-first LP branch-and-bound over the y/u binaries on the start's
@@ -220,9 +234,12 @@ def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
     priced by the LP that checked its selection; the node's own objective
     joins the pruned ones, since it bounds the integer points of its box
     that the fixed LP does not cover. Any other node branches on its most
-    fractional binary, nearer side first. bound is the sense-aware worst
-    of the pruned nodes' objectives and the incumbent's. None when a
-    node LP ends in any other status, when _BRANCH_LPS LPs are spent, or
+    fractional binary, nearer side first. A node whose LP fails
+    (solver_failed, as when HiGHS stalls) is split on its first free
+    binary, 1 first; it adds no bound, since its children cover its box.
+    bound is the sense-aware worst of the pruned nodes' objectives and the
+    incumbent's. None when a node LP ends in any other status, when a
+    node without free binaries fails, when _BRANCH_LPS LPs are spent, or
     when the search closes without an incumbent.
     """
     sign = 1.0 if model.objective_sense == "max" else -1.0
@@ -238,7 +255,11 @@ def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
         if out.status == "infeasible":
             continue
         if out.status != "optimal":
-            return None
+            free = np.flatnonzero(lo != hi)
+            if out.status != "solver_failed" or not free.size:
+                return None
+            nodes += _children(lo, hi, free[0], (0.0, 1.0))
+            continue
         if incumbent is not None and (sign * (out.objective - incumbent.objective)
                                       <= target * (1.0 + abs(incumbent.objective))):
             pruned.append(out.objective)
@@ -255,10 +276,7 @@ def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
                 nodes.append((np.round(z), np.round(z), None))
                 continue
             near = np.round(z[j])
-            for side in (1.0 - near, near):
-                child_lo, child_hi = lo.copy(), hi.copy()
-                child_lo[j] = child_hi[j] = side
-                nodes.append((child_lo, child_hi, None))
+            nodes += _children(lo, hi, j, (1.0 - near, near))
     if incumbent is None:
         return None
     return sign * max(sign * np.r_[pruned, incumbent.objective]), incumbent

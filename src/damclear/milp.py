@@ -108,7 +108,9 @@ class MilpModel:
     """Sparse row-major MILP with role-indexed columns.
 
     Rows are stored as (column-index array, coefficient array) pairs with a
-    sense in {'<', '=', '>'} and a right-hand side. ``roles`` maps a column
+    sense in {'<', '=', '>'} and a right-hand side; constraint_csc()
+    exports them as numpy arrays in compressed-column form, the one matrix
+    the backend and point_violations read. ``roles`` maps a column
     group name to its slice.
     ``warm_start`` holds a full column vector or None. Bounds may be
     tightened in place (that is how selections get fixed); rows are append-
@@ -172,19 +174,24 @@ class MilpModel:
         self.row_names.append(name)
         return idx
 
-    def constraint_matrix(self):
-        """Rows as a scipy CSR matrix, in stored order."""
-        from scipy.sparse import csr_matrix
+    def constraint_csc(self):
+        """The rows in compressed-column form, as numpy arrays (start, index, value).
 
-        data, indices, indptr = [], [], [0]
-        for cols, coefs in zip(self.row_cols, self.row_coefs):
-            indices.extend(cols.tolist())
-            data.extend(coefs.tolist())
-            indptr.append(len(indices))
-        return csr_matrix(
-            (np.array(data), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
-            shape=(self.n_rows, self.n_cols),
-        )
+        Column j's entries are rows index[start[j]:start[j + 1]] with
+        coefficients value[start[j]:start[j + 1]], in stored row order and,
+        within a row, in stored entry order; explicit zeros and repeated
+        columns are kept as entries.
+        """
+        if self.n_rows:
+            cols = np.concatenate(self.row_cols)
+            value = np.concatenate(self.row_coefs)
+        else:
+            cols, value = np.zeros(0, dtype=np.int64), np.zeros(0)
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int32), [len(c) for c in self.row_cols])
+        order = np.argsort(cols, kind="stable")
+        start = np.zeros(self.n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self.n_cols), out=start[1:])
+        return start, rows[order], value[order]
 
     def row_bounds(self):
         """(lower, upper) per row for interval-form constraints."""
@@ -204,7 +211,8 @@ class MilpModel:
         violations and their maximum. Integrality is not checked.
         """
         point = np.asarray(point, dtype=float)
-        act = self.constraint_matrix() @ point
+        start, index, value = self.constraint_csc()
+        act = np.bincount(index, weights=value * np.repeat(point, np.diff(start)), minlength=self.n_rows)
         rhs = np.asarray(self.row_rhs, dtype=float)
         sense = np.asarray(self.row_sense)
         rows = np.where(sense == "<", act - rhs, np.where(sense == ">", rhs - act, np.abs(act - rhs)))

@@ -35,14 +35,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highspy
-from scipy.sparse import coo_array, vstack
 
-# linprog is not called here (every face LP runs on the enumeration's own
-# HiGHS object, see _Face._run), but the benchmark tracer in
-# perfbench/tracing.py patches oracle.linprog by name, so the attribute must exist
-from scipy.optimize import linprog  # noqa: F401
-
+from ._highs import core as _highspy
 from .model import ClearingSolution, Instance, InstanceIndex, validate_instance
 
 GUARD = 20
@@ -57,6 +51,19 @@ _STATUS = _highspy.HighsModelStatus
 
 class OracleGuardError(ValueError):
     pass
+
+
+def __getattr__(name):
+    # linprog is not called here (every face LP runs on the enumeration's
+    # own HiGHS object, see _Face._run), but the benchmark tracer in
+    # perfbench/tracing.py patches oracle.linprog by name. It is resolved on
+    # first access, so importing the oracle does not import scipy.optimize.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,8 @@ class SelectionOracleResult:
 def _face_highs(A_ub, b_ub, A_eq, b_eq, lo, hi):
     """One HiGHS object (_LP_OPTIONS) holding the rows [A_ub; A_eq] as
     interval rows, in the order linprog stacks them, with zero cost."""
+    from scipy.sparse import vstack
+
     A = vstack((A_ub, A_eq)).tocsc()
     lp = _highspy.HighsLp()
     lp.num_row_, lp.num_col_ = A.shape
@@ -135,6 +144,10 @@ class _Face:
     """
 
     def __init__(self, instance: Instance, rules: str):
+        # scipy.sparse is imported here, not with the module: only an
+        # enumeration needs it
+        from scipy.sparse import coo_array
+
         idx = self.idx = InstanceIndex(instance)
         nI, nS, nJ, nC = idx.n_hourly, idx.n_sub, idx.n_block, idx.n_mic
         K, LT, M = idx.n_basis, idx.LT, idx.n_net_rows

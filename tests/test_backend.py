@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scipy.optimize import linprog
-from scipy.sparse import diags
+from scipy.sparse import csc_array, diags
 
 from damclear import backend as bk
 from damclear import engine, milp
@@ -34,7 +34,8 @@ def _linprog_objective(model):
     """The model's LP relaxation solved by scipy.optimize.linprog, an
     outside reference for the backend's HiGHS LP path: equality rows as
     A_eq, the others oriented to <= (a '>' row negated)."""
-    A = model.constraint_matrix()
+    start, index, value = model.constraint_csc()
+    A = csc_array((value, index, start), shape=(model.n_rows, model.n_cols)).tocsr()
     sense = np.asarray(model.row_sense)
     rhs = np.asarray(model.row_rhs, dtype=float)
     eq, ub = sense == "=", sense != "="

@@ -85,6 +85,13 @@ def test_request_validation():
         ClearingRequest(rules="euphemia")
 
 
+def test_request_rejects_a_warm_start():
+    # clear hands the MIP its own rounding; a request's warm start would
+    # silently replace it
+    with pytest.raises(ValueError, match="warm start"):
+        ClearingRequest(solve_options=be.SolveOptions(warm_start=np.zeros(3)))
+
+
 def test_mic_acceptance_threshold():
     # income tops out at 10000; fixed + variable*100 crosses it at 8000
     accepted = clear(make_mic(1000.0), ClearingRequest())
@@ -283,7 +290,7 @@ def test_branch_and_bound_certifies_the_mic_instance_without_a_mip(monkeypatch):
     assert verify_equilibrium(inst, sol).overall_pass
 
 
-@pytest.mark.parametrize("stop", ("failed node LP", "spent budget"))
+@pytest.mark.parametrize("stop", ("failed leaf LP", "spent budget"))
 def test_open_branch_and_bound_hands_the_rounding_to_the_mip(monkeypatch, stop):
     # the search stops: the rounding and the relaxation bound go to the MIP
     # exactly as they would without it
@@ -293,22 +300,33 @@ def test_open_branch_and_bound_hands_the_rounding_to_the_mip(monkeypatch, stop):
     with monkeypatch.context() as patch:
         _without_branching(patch)
         rounding_bound, rounding = engine._relaxation_start(model, request)
-    failed = []
+    failed, branching, searched = [], [], []
     if stop == "spent budget":
         monkeypatch.setattr(engine, "_BRANCH_LPS", 3)
     else:
-        real = be.LpSession.bound
+        real, real_branch = be.LpSession.bound, engine._branch
+
+        def branch(*args):
+            branching.append(None)
+            try:
+                return real_branch(*args)
+            finally:
+                branching.clear()
 
         def failing(session, lo, hi):
-            if np.array_equal(lo, hi):  # a fixed selection, as the rounding runs
+            if not branching:  # the rounding's fixed selections
                 return real(session, lo, hi)
-            failed.append(None)
-            return be.SolveOutcome("solver_failed", None, None, 0.0)
+            if np.array_equal(lo, hi):  # a fixed selection in the search
+                failed.append(None)
+                return be.SolveOutcome("solver_failed", None, None, 0.0)
+            searched.append(None)
+            return real(session, lo, hi)
 
+        monkeypatch.setattr(engine, "_branch", branch)
         monkeypatch.setattr(be.LpSession, "bound", failing)
     bound, start = engine._relaxation_start(model, request)
-    assert len(failed) == (stop == "failed node LP")
-    assert _lp_count(start) == _lp_count(rounding) + (3 if stop == "spent budget" else 0)
+    assert len(failed) == (stop == "failed leaf LP")
+    assert _lp_count(start) == _lp_count(rounding) + (3 if stop == "spent budget" else len(searched))
     assert bound == rounding_bound and start.best_bound == rounding.best_bound
     assert start.status == "feasible_gap" and start.message.startswith("LP-relaxation rounding, ")
     np.testing.assert_array_equal(start.columns, rounding.columns)
@@ -386,6 +404,64 @@ def test_near_integral_node_keeps_its_bound(monkeypatch, child):
     assert bound >= lifted[0] and start.best_bound >= lifted[0]
     assert start.status == "feasible_gap" and start.mip_gap > request.solve_options.relative_gap_target
     np.testing.assert_array_equal(np.round(engine._binaries(model, start.columns)), np.r_[sel["y"], sel["u"]])
+
+
+def test_failed_node_is_split_and_the_bound_still_brackets_the_optimum(monkeypatch):
+    # the first node LP of every search fails, as a stalled one does: the
+    # search splits the node on its first free binary, 1 first, instead of
+    # giving up, and the bound it closes with still brackets the optimum
+    real_bound, real_branch = be.LpSession.bound, engine._branch
+    searching, searches = [], []
+
+    def branch(*args):
+        searches.append([])
+        searching.append(None)
+        try:
+            return real_branch(*args)
+        finally:
+            searching.clear()
+
+    def node_lp(session, lo, hi):
+        if searching:
+            searches[-1].append((lo.copy(), hi.copy()))
+            if len(searches[-1]) == 1 and not np.array_equal(lo, hi):
+                return be.SolveOutcome("solver_failed", None, None, 0.0, message="Unknown")
+        return real_bound(session, lo, hi)
+
+    monkeypatch.setattr(engine, "_branch", branch)
+    monkeypatch.setattr(be.LpSession, "bound", node_lp)
+    split = 0
+    for inst in (make_toy(), _mic_instance()):
+        for rules in ("pcr", "umfs"):
+            optima = enumerate_selections(inst, rules=rules).optima
+            for objective in VALUE:
+                request = ClearingRequest(objective=objective, rules=rules)
+                model = build_request_model(inst, request)
+                searches.clear()
+                bound, start = engine._relaxation_start(model, request)
+                if not searches or np.array_equal(*searches[0][0]):
+                    continue
+                boxes = searches[0]
+                lo, hi = boxes[0]
+                j = np.flatnonzero(lo != hi)[0]
+                children = []
+                for side in (1.0, 0.0):
+                    child_lo, child_hi = lo.copy(), hi.copy()
+                    child_lo[j] = child_hi[j] = side
+                    children.append((child_lo, child_hi))
+                case = (rules, objective)
+                for k, (child_lo, child_hi) in enumerate(children):
+                    at = [n for n, box in enumerate(boxes)
+                          if np.array_equal(box[0], child_lo) and np.array_equal(box[1], child_hi)]
+                    assert at and (k or at[0] == 1), case
+                sign = 1.0 if model.objective_sense == "max" else -1.0
+                want = optima[objective].value
+                assert start.message.startswith("LP branch-and-bound, "), case
+                assert start.status == "optimal" and start.best_bound == bound, case
+                assert sign * (bound - want) >= -be.LP_FEASIBILITY_TOL * (1.0 + abs(want)), case
+                assert abs(start.objective - want) <= 1e-6 * (1.0 + abs(want)), case
+                split += 1
+    assert split
 
 
 def test_binary_free_model_builds_no_lp_session(monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from damclear import milp
 from damclear.backend import SolveOptions, resolve_duals, solve_mip
+from damclear.engine import ClearingRequest, build_request_model
 from damclear.fileio import GeneratorConfig, generate
 from damclear.model import BlockBid, InstanceIndex, MicBid, MicSuborder
 
@@ -162,6 +164,54 @@ def test_point_violations_match_row_by_row_reference():
                 np.testing.assert_array_equal(got["ub"], np.clip(point - m.ub, 0.0, None))
                 expected_max = max(ref.max(initial=0.0), got["lb"].max(), got["ub"].max())
                 assert got["max"] == pytest.approx(expected_max, rel=1e-12, abs=1e-12)
+
+
+def _reference_matrix(model):
+    """The rows as a scipy CSR matrix, built entry by entry in stored order."""
+    data, indices, indptr = [], [], [0]
+    for cols, coefs in zip(model.row_cols, model.row_coefs):
+        indices.extend(cols.tolist())
+        data.extend(coefs.tolist())
+        indptr.append(len(indices))
+    return csr_matrix(
+        (np.array(data), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
+        shape=(model.n_rows, model.n_cols),
+    )
+
+
+def test_constraint_csc_matches_the_row_loop_reference():
+    # HiGHS must get the very arrays scipy's CSR-to-CSC conversion gives;
+    # point_violations sums each row in column order instead of stored
+    # order, so its rows agree with the reference product to 8 ulps of the
+    # row's absolute activity plus its right-hand side
+    rng = np.random.default_rng(23)
+    instances = (
+        make_toy(), make_mic(1000.0), make_pab_chain(),
+        generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
+        generate(GeneratorConfig(seed=40, n_blocks=5, n_mic=1)),
+    )
+    for instance in instances:
+        for rules in ("pcr", "umfs"):
+            for objective in milp.OBJECTIVES:
+                m = build_request_model(instance, ClearingRequest(objective=objective, rules=rules))
+                ref = _reference_matrix(m)
+                want = ref.tocsc()
+                start, index, value = m.constraint_csc()
+                for got, expected in ((start, want.indptr), (index, want.indices), (value, want.data)):
+                    assert got.dtype == expected.dtype
+                    np.testing.assert_array_equal(got, expected)
+                rhs = np.asarray(m.row_rhs)
+                sense = np.asarray(m.row_sense)
+                lo = np.where(np.isfinite(m.lb), m.lb, -1e3)
+                hi = np.where(np.isfinite(m.ub), m.ub, 1e3)
+                for _ in range(20):
+                    point = rng.uniform(lo - 1.0, hi + 1.0)
+                    act = ref @ point
+                    rows = np.where(sense == "<", act - rhs,
+                                    np.where(sense == ">", rhs - act, np.abs(act - rhs)))
+                    scale = abs(ref) @ np.abs(point) + np.abs(rhs)
+                    got = m.point_violations(point)["rows"]
+                    assert np.all(np.abs(got - np.clip(rows, 0.0, None)) <= 8 * np.finfo(float).eps * scale)
 
 
 def test_dispatcher_and_merged_forms_agree():
