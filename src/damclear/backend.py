@@ -163,7 +163,8 @@ def _highs_options(options: SolveOptions):
 
 
 def _highs_lp(model: MilpModel):
-    """The model as a HighsLp: CSC rows, interval row bounds, own sense."""
+    """The model as a HighsLp: CSC rows, interval row bounds, own sense,
+    no integrality (a MIP solve sets it)."""
     start, index, value = model.constraint_csc()
     lo, hi = model.row_bounds()
     lp = _highspy.HighsLp()
@@ -182,7 +183,6 @@ def _highs_lp(model: MilpModel):
     lp.a_matrix_.start_ = start
     lp.a_matrix_.index_ = index
     lp.a_matrix_.value_ = value
-    lp.integrality_ = [_highspy.HighsVarType(int(k)) for k in model.integrality]
     return lp
 
 
@@ -273,9 +273,7 @@ class LpSession:
         self._cols = np.r_[np.arange(ys.start, ys.stop), np.arange(us.start, us.stop)].astype(np.int32)
         self._n_y = ys.stop - ys.start
         self.lp_count = 0
-        lp = _highs_lp(model)
-        lp.integrality_ = []
-        self._highs = _new_highs(lp, (
+        self._highs = _new_highs(_highs_lp(model), (
             ("output_flag", False),
             ("log_to_console", False),
             ("presolve", "on"),
@@ -398,7 +396,9 @@ class ScipyHighsBackend:
 
     def _run_highs(self, model: MilpModel, options: SolveOptions, start=None) -> SolveOutcome:
         t0 = time.perf_counter()
-        highs = _new_highs(_highs_lp(model), _highs_options(options))
+        lp = _highs_lp(model)
+        lp.integrality_ = [_highspy.HighsVarType(int(k)) for k in model.integrality]
+        highs = _new_highs(lp, _highs_options(options))
         if start is not None:
             # HiGHS may still reject the start; solve_mip then keeps it
             # unless the search finds something better

@@ -42,8 +42,13 @@ class ClearingRequest:
 
     rules='pcr' forbids paradoxically accepted blocks (no losses, no
     compensations); rules='umfs' allows them, compensated through d_accept.
-    solve_options.time_limit bounds a clear as a whole: the relaxation
-    start runs under it, and the MIP gets what the start left.
+    solve_options.time_limit is a budget for a clear's start and MIP, not
+    a hard wall-clock bound: the relaxation start checks it before each
+    LP and gives HiGHS what is left as that LP's limit, and the MIP gets
+    what the start left. HiGHS checks its limit only at points of its
+    own; its MIP overran it by 11-15 s in root cut separation on the
+    full-scale volume model. The final fixed-selection resolve runs
+    without a limit.
     solve_options.warm_start must be None: clear builds its own start.
     """
 

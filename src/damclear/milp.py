@@ -195,14 +195,9 @@ class MilpModel:
 
     def row_bounds(self):
         """(lower, upper) per row for interval-form constraints."""
-        lo = np.full(self.n_rows, -np.inf)
-        hi = np.full(self.n_rows, np.inf)
-        for r, (sense, rhs) in enumerate(zip(self.row_sense, self.row_rhs)):
-            if sense in ("=", ">"):
-                lo[r] = rhs
-            if sense in ("=", "<"):
-                hi[r] = rhs
-        return lo, hi
+        sense = np.asarray(self.row_sense, dtype="U1")
+        rhs = np.asarray(self.row_rhs, dtype=float)
+        return np.where(sense == "<", -np.inf, rhs), np.where(sense == ">", np.inf, rhs)
 
     def point_violations(self, point: np.ndarray) -> dict:
         """Constraint residuals of a column vector, for checks and tests.

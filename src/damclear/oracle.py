@@ -14,19 +14,20 @@ The polytope's matrix does not depend on the selection, so it is assembled
 once per instance and rule set, with every column, into one HiGHS object.
 The acceptances y and u are columns fixed by their bounds, so a selection
 changes only column bounds: y and u themselves, the suborder caps of its
-MIC bids and the dual slacks it switches off. Two LPs run over it, each a
-cold-started HiGHS solve that changes only the cost (see _Face._run and
-_LP_OPTIONS):
+MIC bids and the dual slacks it switches off. Two LPs run over it, and
+each changes only the cost (see _Face.extremes and _LP_OPTIONS):
 
-1. traded volume is maximized, which doubles as the feasibility probe;
-   the selection's welfare is read at that point;
-2. the rejected-block compensation sum is minimized.
+1. traded volume is maximized, from a cold start, which doubles as the
+   feasibility probe; the selection's welfare is read at that point;
+2. the rejected-block compensation sum is minimized, hot-started from
+   the probe's optimal basis at the same bounds.
 
 Both extremes are taken over the joint polytope, because the income rows
 couple the two faces and extremes taken over either face alone could be
 unreachable. The optimum per objective is then the best over admissible
-selections. This module intentionally builds its LPs directly on scipy,
-sharing no assembly code with the MILP builder it is meant to check.
+selections. This module intentionally builds its LPs directly on scipy's
+HiGHS bindings, in numpy, sharing no assembly code with the MILP builder
+it is meant to check.
 """
 
 from __future__ import annotations
@@ -96,24 +97,39 @@ class SelectionOracleResult:
         return self.optima[objective].value
 
 
-def _face_highs(A_ub, b_ub, A_eq, b_eq, lo, hi):
-    """One HiGHS object (_LP_OPTIONS) holding the rows [A_ub; A_eq] as
-    interval rows, in the order linprog stacks them, with zero cost."""
-    from scipy.sparse import vstack
+def _csc(rows, cols, vals, n_cols):
+    """Entries (rows, cols, vals) as compressed-column arrays (start, index, value).
 
-    A = vstack((A_ub, A_eq)).tocsc()
+    Columns hold their rows in ascending order, repeated (row, column)
+    entries are summed and explicit zeros are kept: the arrays scipy's
+    coo-to-csc conversion gives for the same entries.
+    """
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if not first.all():
+        vals = np.add.reduceat(vals, np.flatnonzero(first))
+        rows, cols = rows[first], cols[first]
+    start = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
+    return start, rows, vals
+
+
+def _face_highs(csc, b_ub, b_eq, lo, hi):
+    """One HiGHS object (_LP_OPTIONS) holding the compressed-column rows
+    [A_ub; A_eq] as interval rows, in the order linprog stacks them, with
+    zero cost."""
     lp = _highspy.HighsLp()
-    lp.num_row_, lp.num_col_ = A.shape
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
-    lp.col_cost_ = np.zeros(A.shape[1])
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_ub.size + b_eq.size
+    lp.num_col_ = lp.a_matrix_.num_col_ = lo.size
+    lp.col_cost_ = np.zeros(lo.size)
     lp.col_lower_ = lo
     lp.col_upper_ = hi
     lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
     lp.row_upper_ = np.concatenate((b_ub, b_eq))
     lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = csc
     highs = _highspy._Highs()
     for name, value in _LP_OPTIONS.items():
         if highs.setOptionValue(name, value) != _highspy.HighsStatus.kOk:
@@ -138,16 +154,14 @@ class _Face:
     minus the dual objective equals 0). Inequality rows, stored as <=:
     network capacities, dual feasibility per hourly bid, suborder, block
     and MIC bid, and one income row per MIC bid (void for a rejected bid,
-    whose suborders are capped at 0). A_ub, b_ub, A_eq, b_eq, lo and hi
-    are the face as linprog would take it; the HiGHS object holds the
-    same rows and columns.
+    whose suborders are capped at 0). ``csc`` holds the rows [A_ub; A_eq]
+    as compressed-column arrays (start, index, value), the first ``n_ub``
+    of them the <= rows; with b_ub, b_eq, lo and hi they are the face as
+    linprog would take it, and the HiGHS object holds the same rows and
+    columns.
     """
 
     def __init__(self, instance: Instance, rules: str):
-        # scipy.sparse is imported here, not with the module: only an
-        # enumeration needs it
-        from scipy.sparse import coo_array
-
         idx = self.idx = InstanceIndex(instance)
         nI, nS, nJ, nC = idx.n_hourly, idx.n_sub, idx.n_block, idx.n_mic
         K, LT, M = idx.n_basis, idx.LT, idx.n_net_rows
@@ -223,12 +237,11 @@ class _Face:
             -idx.sub_power * (idx.mic_variable[idx.sub_owner] - idx.sub_limit))
         put("ub", r_income + np.arange(nC), cols["u"], idx.mic_fixed)
 
-        def matrix(kind, n_rows):
-            r, c, v = (np.concatenate(part) for part in entries[kind])
-            return coo_array((v, (r, c)), shape=(n_rows, n))
-
-        self.A_eq = matrix("eq", pin + 1)
-        self.A_ub = matrix("ub", r_income + nC)
+        # the <= rows first, then the equality rows, as linprog stacks them
+        self.n_ub = r_income + nC
+        r_ub, c_ub, v_ub = (np.concatenate(part) for part in entries["ub"])
+        r_eq, c_eq, v_eq = (np.concatenate(part) for part in entries["eq"])
+        self.csc = _csc(np.r_[r_ub, r_eq + self.n_ub], np.r_[c_ub, c_eq], np.r_[v_ub, v_eq], n)
         self.b_eq = np.zeros(pin + 1)
         self.b_ub = np.concatenate((
             w,
@@ -253,7 +266,7 @@ class _Face:
         self.c_volume[cols["y"]] = np.clip(idx.block_powers, 0.0, None).sum(axis=1)
         self.c_compensation = np.zeros(n)
         self.c_compensation[cols["dr"]] = 1.0
-        self._highs = _face_highs(self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.lo, self.hi)
+        self._highs = _face_highs(self.csc, self.b_ub, self.b_eq, self.lo, self.hi)
 
     def bounds(self, y, u):
         """Column bounds (lo, hi) of the face at the selection (y, u)."""
@@ -269,16 +282,14 @@ class _Face:
         return lo, hi
 
     def _run(self, cost):
-        """One LP over the face at its current bounds, from a cold start.
+        """One LP over the face at its current bounds and basis.
 
         Returns HiGHS's model status and, when it is optimal, the point
-        (None otherwise). clearSolver drops the previous LP's basis: kept,
-        it changed verdicts (sweep-family seed 291 under umfs lost one of
-        its 16 admissible selections) and failed compensation LPs.
+        (None otherwise). Only the cost changes, so HiGHS starts from the
+        basis the previous LP left, unless extremes has cleared it.
         """
         highs = self._highs
         highs.changeColsCost(cost.size, self._all, cost)
-        highs.clearSolver()
         highs.run()
         status = highs.getModelStatus()
         if status != _STATUS.kOptimal:
@@ -294,10 +305,18 @@ class _Face:
         computed welfare value enters the system, so the face is exact: a
         pinning corridor of width e would be amplified into the
         compensation minimum by the rejected blocks' price sensitivity.
+
+        The volume probe starts cold: clearSolver drops the previous
+        selection's basis, which, kept, changed verdicts (sweep-family
+        seed 291 under umfs lost one of its 16 admissible selections) and
+        failed compensation LPs. The compensation LP changes only the
+        cost, so it starts from the probe's optimal basis, which is
+        primal feasible at the same bounds.
         """
         cols = self.cols
         lo, hi = self.bounds(y, u)
         self._highs.changeColsBounds(lo.size, self._all, lo, hi)
+        self._highs.clearSolver()
         status, vol = self._run(-self.c_volume)
         if status == _STATUS.kInfeasible:
             return None

@@ -1,4 +1,5 @@
-"""Import graph: damclear loads scipy's HiGHS extension without scipy.optimize.
+"""Import graph: damclear loads scipy's HiGHS extension without scipy.optimize,
+and neither a clear nor an enumeration loads scipy.sparse.
 
 Each check runs in a fresh interpreter, since this test session has long
 imported scipy.optimize itself.
@@ -49,6 +50,19 @@ assert not loaded, loaded
 assert sys.modules["{CORE}"] is damclear.backend._highspy is damclear.oracle._highspy
 """, str(toy))
     assert out.startswith("welfare=450 ")
+
+
+def test_oracle_loads_neither_scipy_optimize_nor_sparse(toy_path, tmp_path):
+    toy = tmp_path / "toy.json"
+    shutil.copy(toy_path, toy)
+    out = _python("""
+import sys
+import damclear.cli
+assert damclear.cli.main(["oracle", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded = [name for name in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if name in sys.modules]
+assert not loaded, loaded
+""", str(toy), str(tmp_path / "oracle.json"))
+    assert out.startswith("welfare=450 selections=3 ")
 
 
 def test_damclear_reuses_the_extension_scipy_optimize_loaded(toy_path, tmp_path):

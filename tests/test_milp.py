@@ -214,6 +214,39 @@ def test_constraint_csc_matches_the_row_loop_reference():
                     assert np.all(np.abs(got - np.clip(rows, 0.0, None)) <= 8 * np.finfo(float).eps * scale)
 
 
+def _reference_row_bounds(model):
+    """(lower, upper) per row, row by row."""
+    lo = np.full(model.n_rows, -np.inf)
+    hi = np.full(model.n_rows, np.inf)
+    for r, (sense, rhs) in enumerate(zip(model.row_sense, model.row_rhs)):
+        if sense in ("=", ">"):
+            lo[r] = rhs
+        if sense in ("=", "<"):
+            hi[r] = rhs
+    return lo, hi
+
+
+def test_row_bounds_match_the_row_loop_reference():
+    instances = (
+        make_toy(), make_mic(1000.0), make_pab_chain(),
+        generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
+        generate(GeneratorConfig(seed=40, n_blocks=5, n_mic=1)),
+    )
+    models = []
+    for instance in instances:
+        for form in ("pcr", "umfs"):
+            models.append(milp.build_model(instance, form))
+            for objective in milp.OBJECTIVES:
+                models.append(build_request_model(instance, ClearingRequest(objective=objective, rules=form)))
+    rowless = models[0].copy()
+    rowless.row_cols, rowless.row_coefs, rowless.row_sense, rowless.row_rhs = [], [], [], []
+    assert {s for m in models for s in m.row_sense} == {"<", "=", ">"}
+    for m in models + [rowless]:
+        for got, want in zip(m.row_bounds(), _reference_row_bounds(m)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 def test_dispatcher_and_merged_forms_agree():
     # same optimum through the explicit-dispatcher and merged-row forms
     toy = make_toy()

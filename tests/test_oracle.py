@@ -1,17 +1,19 @@
 import ast
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import coo_array, csc_array, vstack
 
 from damclear import oracle
 from damclear.backend import resolve_duals
 from damclear.engine import ClearingRequest, clear
 from damclear.fileio import GeneratorConfig, generate
 from damclear.milp import build_model, set_objective
-from damclear.model import Instance, single_node_network
+from damclear.model import Instance, InstanceIndex, single_node_network
 from damclear.oracle import (
     GUARD,
     OracleGuardError,
@@ -20,6 +22,7 @@ from damclear.oracle import (
 )
 
 from conftest import make_mic, make_pab_chain, make_toy
+from test_fuzz import SEEDS as FUZZ_SEEDS, SHAPES as FUZZ_SHAPES
 
 OPTIMA_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "optima.json"
 
@@ -239,28 +242,199 @@ def test_a_failed_face_lp_names_the_lp_and_the_selection(monkeypatch, failing_ca
         enumerate_selections(make_toy())
 
 
-@pytest.mark.parametrize("seed, admissible", ((4, 32), (291, 16)))
-def test_cold_started_face_lps_match_the_recorded_enumeration(seed, admissible):
-    # every face LP starts cold: with the basis kept from the previous LP,
-    # HiGHS called one of seed 291's 16 admissible selections infeasible
-    # under umfs (a prototype that kept it lost one of seed 4's 32)
+@pytest.mark.parametrize("seed, admissible, rules", (
+    pytest.param(4, 32, "umfs", id="4-32"),
+    pytest.param(68, 128, "umfs", id="68-128"),
+    pytest.param(104, 155, "umfs", id="104-155"),
+    pytest.param(167, 122, "umfs", id="167-122"),
+    pytest.param(291, 16, "umfs", id="291-16"),
+    pytest.param(314, 37, "pcr", id="314-37"),
+))
+def test_cold_started_face_lps_match_the_recorded_enumeration(seed, admissible, rules):
+    # each volume probe starts cold: with the basis kept from the previous
+    # selection, HiGHS called one of seed 291's 16 admissible selections
+    # infeasible under umfs (a prototype that kept it lost one of seed 4's
+    # 32) and failed compensation LPs of seeds 68, 104, 167 and 314; the
+    # compensation LP starts from its own probe's basis
     with open(OPTIMA_PATH, encoding="utf-8") as fh:
-        want = json.load(fh)["instances"][str(seed)]["umfs"]
-    res = enumerate_selections(_sweep(seed), rules="umfs")
+        want = json.load(fh)["instances"][str(seed)][rules]
+    res = enumerate_selections(_sweep(seed), rules=rules)
     assert len(res.records) == want["admissible"] == admissible
     for objective in ("welfare", "volume", "min_opportunity_cost"):
         v = want[objective]
         assert abs(res.optimum(objective) - v) <= 1e-6 * (1.0 + abs(v)), objective
 
 
+class _HighsSpy:
+    """Forwards to a HiGHS object and logs the calls that set bounds, drop the basis or solve."""
+
+    LOGGED = ("changeColsBounds", "clearSolver", "run")
+
+    def __init__(self, highs, log):
+        self._highs, self._log = highs, log
+
+    def __getattr__(self, name):
+        attr = getattr(self._highs, name)
+        if name not in self.LOGGED:
+            return attr
+
+        def logged(*args):
+            self._log.append(name)
+            return attr(*args)
+
+        return logged
+
+
+@pytest.mark.parametrize("rules", ("pcr", "umfs"))
+@pytest.mark.parametrize("make", (make_toy, _seed_111))
+def test_each_selection_clears_the_basis_once_before_its_volume_probe(monkeypatch, make, rules):
+    # the probe starts cold, so no basis crosses selections; the
+    # compensation LP runs from the probe's basis, with nothing cleared
+    log = []
+    real = oracle._face_highs
+    monkeypatch.setattr(oracle, "_face_highs", lambda *args: _HighsSpy(real(*args), log))
+    inst = make()
+    res = enumerate_selections(inst, rules=rules)
+    admissible = {(r.accepted_blocks, r.accepted_mic) for r in res.records}
+    nJ, nb = len(inst.block_bids), len(inst.block_bids) + len(inst.mic_bids)
+    want = []
+    for mask in range(res.n_selections):
+        bits = ((mask >> np.arange(nb)) & 1).astype(bool)
+        key = (tuple(b.id for b, on in zip(inst.block_bids, bits[:nJ]) if on),
+               tuple(c.id for c, on in zip(inst.mic_bids, bits[nJ:]) if on))
+        want += ["changeColsBounds", "clearSolver", "run"] + ["run"] * (key in admissible)
+    assert log == want
+
+
+def _reference_face_csc(instance, rules):
+    """The face's rows [A_ub; A_eq] as scipy builds them: coo_array per row
+    kind, then vstack(...).tocsc(); returns (indptr, indices, data, n_ub)."""
+    idx = InstanceIndex(instance)
+    nI, nS, nJ, nC = idx.n_hourly, idx.n_sub, idx.n_block, idx.n_mic
+    K, LT, M = idx.n_basis, idx.LT, idx.n_net_rows
+    a = instance.network.constraint_rows
+    w = np.asarray(instance.network.capacities, dtype=float)
+    e = idx.injection_flat
+    block_welfare = idx.block_total * idx.block_limit
+    cols = {}
+    pos = 0
+    for name, count in (
+        ("x", nI), ("xm", nS), ("n", K), ("pi", LT), ("v", M),
+        ("si", nI), ("sh", nS), ("sj", nJ), ("sc", nC),
+        ("da", nJ if rules == "umfs" else 0), ("dr", nJ), ("dur", nC),
+        ("y", nJ), ("u", nC),
+    ):
+        cols[name] = np.arange(pos, pos + count)
+        pos += count
+    n = pos
+    entries = {"eq": ([], [], []), "ub": ([], [], [])}
+
+    def put(kind, rows, at, vals):
+        r, c, v = entries[kind]
+        r.append(np.broadcast_to(rows, np.shape(at)))
+        c.append(at)
+        v.append(np.broadcast_to(vals, np.shape(at)).astype(float))
+
+    ek, elt = np.nonzero(e)
+    am, ak = np.nonzero(a)
+    bj, bt = np.nonzero(idx.block_powers)
+    put("eq", idx.hourly_lt, cols["x"], idx.hourly_power)
+    put("eq", idx.sub_lt, cols["xm"], idx.sub_power)
+    put("eq", idx.block_loc[bj] * idx.T + bt, cols["y"][bj], idx.block_powers[bj, bt])
+    put("eq", elt, cols["n"][ek], -e[ek, elt])
+    put("eq", LT + ak, cols["v"][am], a[am, ak])
+    put("eq", LT + ek, cols["pi"][elt], -e[ek, elt])
+    pin = LT + K
+    c_primal = np.concatenate((idx.hourly_power * idx.hourly_limit, idx.sub_power * idx.sub_limit))
+    put("eq", pin, np.concatenate((cols["x"], cols["xm"])), c_primal)
+    for name in ("si", "sj", "sc"):
+        put("eq", pin, cols[name], -1.0)
+    wm = np.nonzero(w)[0]
+    put("eq", pin, cols["v"][wm], -w[wm])
+    put("eq", pin, cols["da"], 1.0)
+    put("eq", pin, cols["y"], block_welfare)
+    r_hourly = M
+    r_sub = r_hourly + nI
+    r_block = r_sub + nS
+    r_mic = r_block + nJ
+    r_income = r_mic + nC
+    put("ub", am, cols["n"][ak], a[am, ak])
+    put("ub", r_hourly + np.arange(nI), cols["si"], -1.0)
+    put("ub", r_hourly + np.arange(nI), cols["pi"][idx.hourly_lt], -idx.hourly_power)
+    put("ub", r_sub + np.arange(nS), cols["sh"], -1.0)
+    put("ub", r_sub + np.arange(nS), cols["pi"][idx.sub_lt], -idx.sub_power)
+    put("ub", r_block + np.arange(nJ), cols["sj"], -1.0)
+    put("ub", r_block + bj, cols["pi"][idx.block_loc[bj] * idx.T + bt], -idx.block_powers[bj, bt])
+    put("ub", r_block + np.arange(len(cols["da"])), cols["da"], 1.0)
+    put("ub", r_block + np.arange(nJ), cols["dr"], -1.0)
+    put("ub", r_mic + np.arange(nC), cols["sc"], -1.0)
+    put("ub", r_mic + idx.sub_owner, cols["sh"], 1.0)
+    put("ub", r_mic + np.arange(nC), cols["dur"], -1.0)
+    put("ub", r_income + np.arange(nC), cols["sc"], -1.0)
+    put("ub", r_income + idx.sub_owner, cols["xm"],
+        -idx.sub_power * (idx.mic_variable[idx.sub_owner] - idx.sub_limit))
+    put("ub", r_income + np.arange(nC), cols["u"], idx.mic_fixed)
+
+    def matrix(kind, n_rows):
+        r, c, v = (np.concatenate(part) for part in entries[kind])
+        return coo_array((v, (r, c)), shape=(n_rows, n))
+
+    A = vstack((matrix("ub", r_income + nC), matrix("eq", pin + 1))).tocsc()
+    return A.indptr, A.indices, A.data, r_income + nC
+
+
+def _export_cases():
+    yield "toy", make_toy()
+    for fixed in (1000.0, 9000.0):
+        yield f"mic-{fixed:g}", make_mic(fixed)
+    yield "pab-chain", make_pab_chain()
+    for name, config in FUZZ_SHAPES.items():
+        for seed in FUZZ_SEEDS:
+            yield f"{name}-{seed}", generate(replace(config, seed=seed))
+    for seed in range(42):
+        yield f"sweep-{seed}", _sweep(seed)
+
+
+@pytest.mark.parametrize("rules", ("pcr", "umfs"))
+def test_face_export_equals_scipys_stacked_csc(rules):
+    # the numpy export hands HiGHS exactly the arrays scipy.sparse gave it
+    checked = 0
+    for case, inst in _export_cases():
+        face = oracle._Face(inst, rules)
+        *want, n_ub = _reference_face_csc(inst, rules)
+        assert face.n_ub == n_ub, case
+        assert face.csc[0].size == face.lo.size + 1, case
+        for got, ref in zip(face.csc, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), case
+        checked += 1
+    assert checked == 4 + 2 * len(FUZZ_SHAPES) + 42
+
+
+def test_csc_sums_duplicates_and_keeps_zeros_like_scipy():
+    # dyadic values, so the sum of repeated entries is exact in any order
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        n_rows, n_cols, nnz = rng.integers(1, 6), rng.integers(1, 6), rng.integers(0, 30)
+        rows, cols = rng.integers(0, n_rows, nnz), rng.integers(0, n_cols, nnz)
+        vals = rng.integers(-2, 3, nnz) / 4.0
+        got = oracle._csc(rows, cols, vals, n_cols)
+        ref = coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsc()
+        for g, r in zip(got, (ref.indptr, ref.indices, ref.data)):
+            assert np.array_equal(g, r), (rows, cols, vals)
+
+
 @pytest.mark.parametrize("rules", ("pcr", "umfs"))
 def test_face_extremes_match_a_one_shot_linprog(rules):
     # the persistent HiGHS object against linprog on the same A_ub/A_eq
-    # face, selection by selection, on every shape of the sweep family
+    # face, built by scipy from the face's export, selection by selection,
+    # on every shape of the sweep family
     checked = 0
     for seed in range(21):
         inst = _sweep(seed)
         face = oracle._Face(inst, rules)
+        start, index, value = face.csc
+        A = csc_array((value, index, start), shape=(face.n_ub + face.b_eq.size, face.lo.size))
+        A_ub, A_eq = A[: face.n_ub], A[face.n_ub:]
         nJ, nb = len(inst.block_bids), len(inst.block_bids) + len(inst.mic_bids)
         for mask in range(2 ** nb):
             bits = ((mask >> np.arange(nb)) & 1).astype(float)
@@ -269,7 +443,7 @@ def test_face_extremes_match_a_one_shot_linprog(rules):
             bounds = np.column_stack(face.bounds(y, u))
 
             def one_shot(cost):
-                return linprog(cost, A_ub=face.A_ub, b_ub=face.b_ub, A_eq=face.A_eq,
+                return linprog(cost, A_ub=A_ub, b_ub=face.b_ub, A_eq=A_eq,
                                b_eq=face.b_eq, bounds=bounds, method="highs",
                                options={"presolve": False, "primal_feasibility_tolerance": 1e-9,
                                         "dual_feasibility_tolerance": 1e-9})
