@@ -34,12 +34,12 @@ HiGHS prints a few MIP messages with a raw printf that ignores its output
 flag; solve_mip captures fd 1 around the solve and counts them in the
 outcome's message.
 
-Every solve hands HiGHS the rows in the compressed-column arrays of
-MilpModel.constraint_csc(), with their interval bounds from
-MilpModel.row_bounds(). A run that ends without a point reports
-infeasible, unbounded, time_limit_no_solution (HiGHS's time limit only)
-or solver_failed (any other HiGHS status, named in the outcome's
-message).
+Every solve hands HiGHS the model's stored compressed-column matrix
+(MilpModel.constraint_csc()) and interval row bounds
+(MilpModel.row_bounds()) as they are. A run that ends without a point
+reports infeasible, unbounded, time_limit_no_solution (HiGHS's time
+limit only) or solver_failed (any other HiGHS status, named in the
+outcome's message).
 """
 
 from __future__ import annotations
@@ -89,8 +89,15 @@ class SolveOptions:
     random_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.relative_gap_target < 0:
+        # the negated comparisons also reject NaN
+        if not self.relative_gap_target >= 0:
             raise ValueError("gap targets must be >= 0")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be >= 0 seconds")
+        if self.thread_count is not None and self.thread_count < 0:
+            raise ValueError("thread_count must be >= 0")
+        if self.random_seed is not None and self.random_seed < 0:
+            raise ValueError("random_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -329,7 +336,8 @@ class LpSession:
 
 
 class ScipyHighsBackend:
-    """scipy.optimize wrappers around HiGHS."""
+    """The bundled backend: HiGHS driven directly through scipy's compiled
+    bindings (damclear._highs), one HiGHS object per MIP solve."""
 
     name = "scipy-highs"
 

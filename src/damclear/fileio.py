@@ -51,10 +51,7 @@ def _need(obj: dict, key: str, kinds, ctx: str):
 
 
 def _number(obj: dict, key: str, ctx: str) -> float:
-    val = _need(obj, key, (int, float), ctx)
-    if isinstance(val, bool):
-        raise FileFormatError(f"{ctx}: field '{key}' must be a number")
-    return float(val)
+    return float(_need(obj, key, (int, float), ctx))
 
 
 def _array(obj: dict, key: str, ctx: str) -> np.ndarray:

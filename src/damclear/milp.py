@@ -21,7 +21,7 @@ model. build_model assembles one of two forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -105,16 +105,17 @@ def big_m_set(instance: Instance) -> BigMSet:
 
 @dataclass
 class MilpModel:
-    """Sparse row-major MILP with role-indexed columns.
+    """A MILP in compressed-column form with role-indexed columns.
 
-    Rows are stored as (column-index array, coefficient array) pairs with a
-    sense in {'<', '=', '>'} and a right-hand side; constraint_csc()
-    exports them as numpy arrays in compressed-column form, the one matrix
-    the backend and point_violations read. ``roles`` maps a column
-    group name to its slice.
-    ``warm_start`` holds a full column vector or None. Bounds may be
-    tightened in place (that is how selections get fixed); rows are append-
-    only after construction.
+    ``csc`` is the constraint matrix as numpy arrays (start, index, value):
+    column j's entries are rows index[start[j]:start[j + 1]], in ascending
+    row order, with coefficients value[start[j]:start[j + 1]]; explicit
+    zeros are kept as entries. Row i reads row_lo[i] <= a_i x <= row_hi[i],
+    an infinite side being absent. The matrix, the row bounds and
+    integrality are read-only, and copies share them. Column bounds may be
+    tightened in place (that is how selections get fixed). ``roles`` maps
+    a column group name to its slice. ``warm_start`` holds a full column
+    vector or None.
     """
 
     instance: Instance
@@ -124,14 +125,17 @@ class MilpModel:
     ub: np.ndarray
     integrality: np.ndarray
     roles: dict[str, slice]
-    row_cols: list[np.ndarray]
-    row_coefs: list[np.ndarray]
-    row_sense: list[str]
-    row_rhs: list[float]
+    csc: tuple
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     row_names: list[str]
     objective: Optional[np.ndarray] = None
     objective_sense: str = "max"
     warm_start: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for arr in (*self.csc, self.row_lo, self.row_hi, self.integrality):
+            arr.setflags(write=False)
 
     @property
     def n_cols(self) -> int:
@@ -139,65 +143,45 @@ class MilpModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_cols)
+        return len(self.row_lo)
 
     @property
     def n_binary(self) -> int:
         return int(self.integrality.sum())
 
     def copy(self) -> "MilpModel":
-        return MilpModel(
-            instance=self.instance,
-            form=self.form,
-            var_names=list(self.var_names),
+        return replace(
+            self,
             lb=self.lb.copy(),
             ub=self.ub.copy(),
-            integrality=self.integrality.copy(),
-            roles=dict(self.roles),
-            row_cols=list(self.row_cols),
-            row_coefs=list(self.row_coefs),
-            row_sense=list(self.row_sense),
-            row_rhs=list(self.row_rhs),
-            row_names=list(self.row_names),
             objective=None if self.objective is None else self.objective.copy(),
-            objective_sense=self.objective_sense,
             warm_start=None if self.warm_start is None else self.warm_start.copy(),
         )
 
-    def add_row(self, cols, coefs, sense: str, rhs: float, name: str) -> int:
-        assert sense in ("<", "=", ">")
-        idx = len(self.row_cols)
-        self.row_cols.append(np.asarray(cols, dtype=int))
-        self.row_coefs.append(np.asarray(coefs, dtype=float))
-        self.row_sense.append(sense)
-        self.row_rhs.append(float(rhs))
-        self.row_names.append(name)
-        return idx
-
     def constraint_csc(self):
-        """The rows in compressed-column form, as numpy arrays (start, index, value).
-
-        Column j's entries are rows index[start[j]:start[j + 1]] with
-        coefficients value[start[j]:start[j + 1]], in stored row order and,
-        within a row, in stored entry order; explicit zeros and repeated
-        columns are kept as entries.
-        """
-        if self.n_rows:
-            cols = np.concatenate(self.row_cols)
-            value = np.concatenate(self.row_coefs)
-        else:
-            cols, value = np.zeros(0, dtype=np.int64), np.zeros(0)
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int32), [len(c) for c in self.row_cols])
-        order = np.argsort(cols, kind="stable")
-        start = np.zeros(self.n_cols + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=self.n_cols), out=start[1:])
-        return start, rows[order], value[order]
+        """The rows in compressed-column form, as numpy arrays (start, index, value)."""
+        return self.csc
 
     def row_bounds(self):
         """(lower, upper) per row for interval-form constraints."""
-        sense = np.asarray(self.row_sense, dtype="U1")
-        rhs = np.asarray(self.row_rhs, dtype=float)
-        return np.where(sense == "<", -np.inf, rhs), np.where(sense == ">", np.inf, rhs)
+        return self.row_lo, self.row_hi
+
+    def _row_major(self):
+        """(ptr, cols, value): the matrix by rows, each row's entries in column order."""
+        start, index, value = self.csc
+        order = np.argsort(index, kind="stable")
+        cols = np.repeat(np.arange(self.n_cols), np.diff(start))[order]
+        ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(index, minlength=self.n_rows), out=ptr[1:])
+        return ptr, cols, value[order]
+
+    # row_cols is not read here, but the benchmark tracer in
+    # perfbench/tracing.py counts milp.nnz from model.row_cols, so the
+    # attribute must exist until the tracer reads constraint_csc()
+    @property
+    def row_cols(self) -> list[np.ndarray]:
+        ptr, cols, _ = self._row_major()
+        return [cols[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def point_violations(self, point: np.ndarray) -> dict:
         """Constraint residuals of a column vector, for checks and tests.
@@ -206,12 +190,9 @@ class MilpModel:
         violations and their maximum. Integrality is not checked.
         """
         point = np.asarray(point, dtype=float)
-        start, index, value = self.constraint_csc()
+        start, index, value = self.csc
         act = np.bincount(index, weights=value * np.repeat(point, np.diff(start)), minlength=self.n_rows)
-        rhs = np.asarray(self.row_rhs, dtype=float)
-        sense = np.asarray(self.row_sense)
-        rows = np.where(sense == "<", act - rhs, np.where(sense == ">", rhs - act, np.abs(act - rhs)))
-        rows = np.clip(rows, 0.0, None)
+        rows = np.maximum(np.maximum(self.row_lo - act, act - self.row_hi), 0.0)
         lbv = np.clip(self.lb - point, 0.0, None)
         ubv = np.clip(point - self.ub, 0.0, None)
         mx = max(
@@ -296,8 +277,10 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     big_m = big_m_set(instance)
     net = instance.network
     cap = instance.price_cap
+    umfs = form == "umfs"
     nI, nS, nJ, nC = idx.n_hourly, idx.n_sub, idx.n_block, idx.n_mic
-    K, LT, M = idx.n_basis, idx.LT, idx.n_net_rows
+    K, M = idx.n_basis, idx.n_net_rows
+    rI, rS, rJ, rC = np.arange(nI), np.arange(nS), np.arange(nJ), np.arange(nC)
 
     names: list[str] = []
     lb: list[float] = []
@@ -306,14 +289,12 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     roles: dict[str, slice] = {}
 
     def add_cols(role, labels, lo, hi, binary=False):
-        start = len(names)
-        for lab in labels:
-            names.append(lab)
-            lb.append(lo)
-            ub.append(hi)
-            integ.append(1 if binary else 0)
-        roles[role] = slice(start, len(names))
-        return start
+        roles[role] = slice(len(names), len(names) + len(labels))
+        names.extend(labels)
+        lb.extend([lo] * len(labels))
+        ub.extend([hi] * len(labels))
+        integ.extend([int(binary)] * len(labels))
+        return roles[role].start
 
     hid = [_san(b.id) for b in instance.hourly_bids]
     bid = [_san(b.id) for b in instance.block_bids]
@@ -331,13 +312,114 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     csi = add_cols("s_hourly", [f"s_{s}" for s in hid], 0.0, np.inf)
     csh = add_cols("s_mic_sub", [f"sm_{s}" for s in sid], 0.0, np.inf)
     csj = add_cols("s_block", [f"sb_{s}" for s in bid], 0.0, np.inf)
-    csc = add_cols("s_mic", [f"sc_{s}" for s in cid], 0.0, np.inf)
-    if form == "umfs":
+    csmic = add_cols("s_mic", [f"sc_{s}" for s in cid], 0.0, np.inf)
+    if umfs:
         cda = add_cols("d_accept", [f"da_{s}" for s in bid], 0.0, np.inf)
         cdr = add_cols("d_reject", [f"dr_{s}" for s in bid], 0.0, np.inf)
         cdur = add_cols("du_reject", [f"dur_{s}" for s in cid], 0.0, np.inf)
 
-    model = MilpModel(
+    entries: list[tuple] = []
+    row_lo: list[np.ndarray] = []
+    row_hi: list[np.ndarray] = []
+    row_names: list[str] = []
+
+    def fill(x, n):
+        """x itself when it is an array, else n copies of the scalar x."""
+        return x if isinstance(x, np.ndarray) else np.full(n, x)
+
+    def add_rows(labels, sense, rhs, *blocks):
+        """One row family; each block is (row within the family, column
+        array, coefficient), the row and the coefficient arrays or scalars."""
+        first, n = len(row_names), len(labels)
+        rhs = np.full(n, rhs, dtype=float)
+        row_lo.append(np.full(n, -np.inf) if sense == "<" else rhs)
+        row_hi.append(np.full(n, np.inf) if sense == ">" else rhs)
+        row_names.extend(labels)
+        for r, c, v in blocks:
+            entries.append((first + fill(r, len(c)), c, fill(v, len(c))))
+
+    # the nonzero entries of the block profiles, the injections and the
+    # network rows: (block, period), (basis, lt) and (row, basis) pairs
+    bj, bt = np.nonzero(idx.block_powers)
+    b_lt, b_p = idx.block_loc[bj] * idx.T + bt, idx.block_powers[bj, bt]
+    ek, elt = np.nonzero(idx.injection_flat)
+    e = idx.injection_flat[ek, elt]
+    a = net.constraint_rows
+    am, ak = np.nonzero(a)
+    w = np.asarray(net.capacities, dtype=float)
+    wm = np.nonzero(w)[0]
+
+    # suborder gating: x_hc <= u_c
+    add_rows([f"gate_{s}" for s in sid], "<", 0.0,
+             (rS, cxm + rS, 1.0), (rS, cu + idx.sub_owner, -1.0))
+
+    # power balance per (location, period)
+    add_rows([f"bal_{s}" for s in ltlab], "=", 0.0,
+             (idx.hourly_lt, cx + rI, idx.hourly_power),
+             (idx.sub_lt, cxm + rS, idx.sub_power),
+             (b_lt, cy + bj, b_p),
+             (elt, cn + ek, -e))
+
+    # network capacity rows
+    add_rows([f"net_{m}" for m in range(M)], "<", w, (am, cn + ak, a[am, ak]))
+
+    # dual feasibility of hourly fractions: s_i + P_i pi >= P_i limit_i
+    add_rows([f"dh_{s}" for s in hid], ">", idx.hourly_power * idx.hourly_limit,
+             (rI, csi + rI, 1.0), (rI, cpi + idx.hourly_lt, idx.hourly_power))
+
+    # dual feasibility of MIC suborders
+    add_rows([f"dm_{s}" for s in sid], ">", idx.sub_power * idx.sub_limit,
+             (rS, csh + rS, 1.0), (rS, cpi + idx.sub_lt, idx.sub_power))
+
+    # dual feasibility of blocks and MIC bids; dispatchers in the umfs form,
+    # merged big-M deactivation in the pcr form
+    block_value = idx.block_total * idx.block_limit
+    Mr, Mc = big_m.block_reject, big_m.mic_reject
+    block_rows = ((rJ, csj + rJ, 1.0), (bj, cpi + b_lt, b_p))
+    mic_rows = ((rC, csmic + rC, 1.0), (idx.sub_owner, csh + rS, -1.0))
+    if umfs:
+        add_rows([f"db_{s}" for s in bid], ">", block_value, *block_rows,
+                 (rJ, cdr + rJ, 1.0), (rJ, cda + rJ, -1.0))
+        add_rows([f"dc_{s}" for s in cid], ">", 0.0, *mic_rows, (rC, cdur + rC, 1.0))
+        add_rows([f"capdr_{s}" for s in bid], "<", Mr, (rJ, cdr + rJ, 1.0), (rJ, cy + rJ, Mr))
+        add_rows([f"capdur_{s}" for s in cid], "<", Mc, (rC, cdur + rC, 1.0), (rC, cu + rC, Mc))
+        add_rows([f"capda_{s}" for s in bid], "<", 0.0,
+                 (rJ, cda + rJ, 1.0), (rJ, cy + rJ, -big_m.block_accept))
+    else:
+        add_rows([f"db_{s}" for s in bid], ">", block_value - Mr, *block_rows, (rJ, cy + rJ, -Mr))
+        add_rows([f"dc_{s}" for s in cid], ">", -Mc, *mic_rows, (rC, cu + rC, -Mc))
+
+    # stationarity of net positions: sum_m a_mk v_m = sum_lt inj_klt pi_lt
+    add_rows([f"netdual_{k}" for k in range(K)], "=", 0.0,
+             (ak, cv + am, a[am, ak]), (ek, cpi + elt, -e))
+
+    # objective-equality row: primal value >= dual value; weak duality makes
+    # it an equality at every feasible point, forcing fixed-selection
+    # optimality and all complementarity conditions
+    add_rows(["objective_equality"], ">", 0.0,
+             (0, cx + rI, idx.hourly_power * idx.hourly_limit),
+             (0, cxm + rS, idx.sub_power * idx.sub_limit),
+             (0, cy + rJ, block_value),
+             (0, csi + rI, -1.0), (0, csj + rJ, -1.0), (0, csmic + rC, -1.0),
+             (0, cv + wm, -w[wm]),
+             *([(0, cda + rJ, 1.0)] if umfs else []))
+
+    # minimum income: at any feasible point the income an active MIC bid
+    # collects equals its limit-weighted traded value minus its surplus
+    # s_c, so income >= fixed_cost + variable_cost * sold volume becomes
+    #     s_c + sum_h P_hc (V_c - limit_hc) x_hc - F_c u_c >= 0,
+    # deactivated by the bid's own fixed cost when u_c = 0
+    add_rows([f"mic_income_{s}" for s in cid], ">", 0.0,
+             (rC, csmic + rC, 1.0), (rC, cu + rC, -idx.mic_fixed),
+             (idx.sub_owner, cxm + rS,
+              idx.sub_power * (idx.mic_variable[idx.sub_owner] - idx.sub_limit)))
+
+    # one compressed-column matrix: entries sorted by (column, row)
+    rows, cols, value = (np.concatenate(part) for part in zip(*entries))
+    order = np.lexsort((rows, cols))
+    start = np.zeros(len(names) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=len(names)), out=start[1:])
+    return MilpModel(
         instance=instance,
         form=form,
         var_names=names,
@@ -345,173 +427,11 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
         ub=np.array(ub),
         integrality=np.array(integ),
         roles=roles,
-        row_cols=[],
-        row_coefs=[],
-        row_sense=[],
-        row_rhs=[],
-        row_names=[],
+        csc=(start, rows[order].astype(np.int32), value[order]),
+        row_lo=np.concatenate(row_lo),
+        row_hi=np.concatenate(row_hi),
+        row_names=row_names,
     )
-
-    # suborder gating: x_hc <= u_c
-    for h in range(nS):
-        model.add_row([cxm + h, cu + idx.sub_owner[h]], [1.0, -1.0], "<", 0.0, f"gate_{sid[h]}")
-
-    # power balance per (location, period)
-    bal_cols: list[list[int]] = [[] for _ in range(LT)]
-    bal_coefs: list[list[float]] = [[] for _ in range(LT)]
-    for i in range(nI):
-        bal_cols[idx.hourly_lt[i]].append(cx + i)
-        bal_coefs[idx.hourly_lt[i]].append(idx.hourly_power[i])
-    for h in range(nS):
-        bal_cols[idx.sub_lt[h]].append(cxm + h)
-        bal_coefs[idx.sub_lt[h]].append(idx.sub_power[h])
-    for j in range(nJ):
-        base = idx.block_loc[j] * idx.T
-        for t in range(idx.T):
-            p = idx.block_powers[j, t]
-            if p != 0.0:
-                bal_cols[base + t].append(cy + j)
-                bal_coefs[base + t].append(p)
-    for k in range(K):
-        for lt in range(LT):
-            e = idx.injection_flat[k, lt]
-            if e != 0.0:
-                bal_cols[lt].append(cn + k)
-                bal_coefs[lt].append(-e)
-    for lt in range(LT):
-        model.add_row(bal_cols[lt], bal_coefs[lt], "=", 0.0, f"bal_{ltlab[lt]}")
-
-    # network capacity rows
-    a = net.constraint_rows
-    for m in range(M):
-        nz = np.nonzero(a[m])[0]
-        model.add_row(cn + nz, a[m, nz], "<", float(net.capacities[m]), f"net_{m}")
-
-    # dual feasibility of hourly fractions: s_i + P_i pi >= P_i limit_i
-    for i in range(nI):
-        model.add_row(
-            [csi + i, cpi + idx.hourly_lt[i]],
-            [1.0, idx.hourly_power[i]],
-            ">", idx.hourly_power[i] * idx.hourly_limit[i],
-            f"dh_{hid[i]}",
-        )
-
-    # dual feasibility of MIC suborders
-    for h in range(nS):
-        model.add_row(
-            [csh + h, cpi + idx.sub_lt[h]],
-            [1.0, idx.sub_power[h]],
-            ">", idx.sub_power[h] * idx.sub_limit[h],
-            f"dm_{sid[h]}",
-        )
-
-    # dual feasibility of blocks and MIC bids; dispatchers in the umfs form,
-    # merged big-M deactivation in the pcr form
-    for j in range(nJ):
-        cols = [csj + j]
-        coefs = [1.0]
-        base = idx.block_loc[j] * idx.T
-        for t in range(idx.T):
-            p = idx.block_powers[j, t]
-            if p != 0.0:
-                cols.append(cpi + base + t)
-                coefs.append(p)
-        rhs = idx.block_total[j] * idx.block_limit[j]
-        if form == "umfs":
-            cols += [cdr + j, cda + j]
-            coefs += [1.0, -1.0]
-            model.add_row(cols, coefs, ">", rhs, f"db_{bid[j]}")
-        else:
-            Mr = big_m.block_reject[j]
-            cols.append(cy + j)
-            coefs.append(-Mr)
-            model.add_row(cols, coefs, ">", rhs - Mr, f"db_{bid[j]}")
-
-    for c in range(nC):
-        sl = idx.mic_slices[c]
-        cols = [csc + c] + [csh + h for h in range(sl.start, sl.stop)]
-        coefs = [1.0] + [-1.0] * (sl.stop - sl.start)
-        if form == "umfs":
-            cols.append(cdur + c)
-            coefs.append(1.0)
-            model.add_row(cols, coefs, ">", 0.0, f"dc_{cid[c]}")
-        else:
-            Mc = big_m.mic_reject[c]
-            cols.append(cu + c)
-            coefs.append(-Mc)
-            model.add_row(cols, coefs, ">", -Mc, f"dc_{cid[c]}")
-
-    if form == "umfs":
-        for j in range(nJ):
-            Mr = big_m.block_reject[j]
-            model.add_row([cdr + j, cy + j], [1.0, Mr], "<", Mr, f"capdr_{bid[j]}")
-        for c in range(nC):
-            Mc = big_m.mic_reject[c]
-            model.add_row([cdur + c, cu + c], [1.0, Mc], "<", Mc, f"capdur_{cid[c]}")
-        for j in range(nJ):
-            Ma = big_m.block_accept[j]
-            model.add_row([cda + j, cy + j], [1.0, -Ma], "<", 0.0, f"capda_{bid[j]}")
-
-    # stationarity of net positions: sum_m a_mk v_m = sum_lt inj_klt pi_lt
-    for k in range(K):
-        nzm = np.nonzero(a[:, k])[0]
-        cols = (cv + nzm).tolist()
-        coefs = a[nzm, k].tolist()
-        for lt in range(LT):
-            e = idx.injection_flat[k, lt]
-            if e != 0.0:
-                cols.append(cpi + lt)
-                coefs.append(-e)
-        model.add_row(cols, coefs, "=", 0.0, f"netdual_{k}")
-
-    # objective-equality row: primal value >= dual value; weak duality makes
-    # it an equality at every feasible point, forcing fixed-selection
-    # optimality and all complementarity conditions
-    cols = []
-    coefs = []
-    for i in range(nI):
-        cols.append(cx + i)
-        coefs.append(idx.hourly_power[i] * idx.hourly_limit[i])
-    for h in range(nS):
-        cols.append(cxm + h)
-        coefs.append(idx.sub_power[h] * idx.sub_limit[h])
-    for j in range(nJ):
-        cols.append(cy + j)
-        coefs.append(idx.block_total[j] * idx.block_limit[j])
-    for i in range(nI):
-        cols.append(csi + i)
-        coefs.append(-1.0)
-    for j in range(nJ):
-        cols.append(csj + j)
-        coefs.append(-1.0)
-    for c in range(nC):
-        cols.append(csc + c)
-        coefs.append(-1.0)
-    for m in range(M):
-        if net.capacities[m] != 0.0:
-            cols.append(cv + m)
-            coefs.append(-float(net.capacities[m]))
-    if form == "umfs":
-        for j in range(nJ):
-            cols.append(cda + j)
-            coefs.append(1.0)
-    model.add_row(cols, coefs, ">", 0.0, "objective_equality")
-
-    # minimum income: at any feasible point the income an active MIC bid
-    # collects equals its limit-weighted traded value minus its surplus
-    # s_c, so income >= fixed_cost + variable_cost * sold volume becomes
-    #     s_c + sum_h P_hc (V_c - limit_hc) x_hc - F_c u_c >= 0,
-    # deactivated by the bid's own fixed cost when u_c = 0
-    for c in range(nC):
-        sl = idx.mic_slices[c]
-        cols = [csc + c, cu + c] + [cxm + h for h in range(sl.start, sl.stop)]
-        coefs = [1.0, -idx.mic_fixed[c]] + [
-            idx.sub_power[h] * (idx.mic_variable[c] - idx.sub_limit[h])
-            for h in range(sl.start, sl.stop)
-        ]
-        model.add_row(cols, coefs, ">", 0.0, f"mic_income_{cid[c]}")
-
-    return model
 
 
 def write_lp(model: MilpModel, path) -> None:
@@ -540,19 +460,25 @@ def write_lp(model: MilpModel, path) -> None:
         obj_terms.append(term(model.objective[col], model.var_names[col], lead=(k == 0)))
     lines.append(" obj: " + " ".join(obj_terms))
     lines.append("Subject To")
-    op = {"<": "<=", "=": "=", ">": ">="}
+    ptr, cols, value = model._row_major()
     for r in range(model.n_rows):
         parts = []
-        for k, (col, coef) in enumerate(zip(model.row_cols[r], model.row_coefs[r])):
+        for col, coef in zip(cols[ptr[r]:ptr[r + 1]], value[ptr[r]:ptr[r + 1]]):
             if coef == 0.0:
                 continue
             parts.append(term(coef, model.var_names[col], lead=(len(parts) == 0)))
         if not parts:
             parts = ["0 " + model.var_names[0]]
-        lines.append(
-            f" {model.row_names[r]}: " + " ".join(parts)
-            + f" {op[model.row_sense[r]]} {model.row_rhs[r]:.17g}"
-        )
+        lo, hi = model.row_lo[r], model.row_hi[r]
+        if lo == hi:
+            rel = f"= {lo:.17g}"
+        elif lo == -np.inf:
+            rel = f"<= {hi:.17g}"
+        elif hi == np.inf:
+            rel = f">= {lo:.17g}"
+        else:
+            raise ValueError(f"row {model.row_names[r]} has two sides; LP format rows take one")
+        lines.append(f" {model.row_names[r]}: " + " ".join(parts) + " " + rel)
     lines.append("Bounds")
     for col in range(model.n_cols):
         lo, hi = model.lb[col], model.ub[col]

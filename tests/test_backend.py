@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scipy.optimize import linprog
-from scipy.sparse import csc_array, diags
+from scipy.sparse import csc_array, vstack
 
 from damclear import backend as bk
 from damclear import engine, milp
@@ -15,17 +15,18 @@ from damclear.model import InstanceIndex
 from conftest import make_day, make_mic, make_pab_chain, make_toy
 
 
-def _tiny(rows=(), senses=(), rhs=(), lb=-np.inf, ub=np.inf, objective=1.0):
-    """Single-column model for exercising raw status mapping."""
+def _tiny(row_lo=(), row_hi=(), lb=-np.inf, ub=np.inf, objective=1.0):
+    """Single-column model for exercising raw status mapping; row i reads
+    row_lo[i] <= z <= row_hi[i]."""
+    n = len(row_lo)
     return milp.MilpModel(
         instance=None, form="umfs",
         var_names=["z"], lb=np.array([float(lb)]), ub=np.array([float(ub)]),
         integrality=np.zeros(1),
         roles={"y": slice(0, 0), "u": slice(0, 0)},
-        row_cols=[np.array(list(c)) for c in rows],
-        row_coefs=[np.array([1.0]) for _ in rows],
-        row_sense=list(senses), row_rhs=list(rhs),
-        row_names=[f"r{i}" for i in range(len(rows))],
+        csc=(np.array([0, n], dtype=np.int32), np.arange(n, dtype=np.int32), np.ones(n)),
+        row_lo=np.array(row_lo, dtype=float), row_hi=np.array(row_hi, dtype=float),
+        row_names=[f"r{i}" for i in range(n)],
         objective=np.array([objective]), objective_sense="max",
     )
 
@@ -33,18 +34,19 @@ def _tiny(rows=(), senses=(), rhs=(), lb=-np.inf, ub=np.inf, objective=1.0):
 def _linprog_objective(model):
     """The model's LP relaxation solved by scipy.optimize.linprog, an
     outside reference for the backend's HiGHS LP path: equality rows as
-    A_eq, the others oriented to <= (a '>' row negated)."""
+    A_eq, the others oriented to <= (a row with a finite lower side negated)."""
     start, index, value = model.constraint_csc()
     A = csc_array((value, index, start), shape=(model.n_rows, model.n_cols)).tocsr()
-    sense = np.asarray(model.row_sense)
-    rhs = np.asarray(model.row_rhs, dtype=float)
-    eq, ub = sense == "=", sense != "="
-    sign = np.where(sense[ub] == ">", -1.0, 1.0)
+    lo, hi = model.row_bounds()
+    eq = lo == hi
+    up, down = ~eq & np.isfinite(hi), ~eq & np.isfinite(lo)
+    ub = up.any() or down.any()
     c = model.objective if model.objective_sense == "min" else -model.objective
     res = linprog(
         c,
-        A_ub=diags(sign) @ A[ub] if ub.any() else None, b_ub=sign * rhs[ub] if ub.any() else None,
-        A_eq=A[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+        A_ub=vstack([A[up], -A[down]]) if ub else None,
+        b_ub=np.concatenate([hi[up], -lo[down]]) if ub else None,
+        A_eq=A[eq] if eq.any() else None, b_eq=lo[eq] if eq.any() else None,
         bounds=np.column_stack([model.lb, model.ub]), method="highs",
         options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     )
@@ -55,6 +57,16 @@ def _linprog_objective(model):
 def test_options_validation():
     with pytest.raises(ValueError):
         bk.SolveOptions(relative_gap_target=-1.0)
+    bad = (
+        {"relative_gap_target": float("nan")},
+        {"time_limit": -1.0}, {"time_limit": float("nan")},
+        {"thread_count": -3}, {"random_seed": -1},
+    )
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            bk.SolveOptions(**kwargs)
+    # zero is in range for each: no search time, HiGHS's own thread count, seed 0
+    bk.SolveOptions(relative_gap_target=0.0, time_limit=0.0, thread_count=0, random_seed=0)
 
 
 def test_missing_objective_raises():
@@ -67,7 +79,7 @@ def test_status_mapping():
     unb = _tiny()
     assert bk.solve_lp(unb).status == "unbounded"
     assert bk.solve_mip(unb).status == "unbounded"
-    inf = _tiny(rows=([0], [0]), senses=(">", "<"), rhs=(1.0, 0.0))
+    inf = _tiny(row_lo=(1.0, -np.inf), row_hi=(np.inf, 0.0))  # z >= 1, z <= 0
     assert bk.solve_lp(inf).status == "infeasible"
     assert bk.solve_mip(inf).status == "infeasible"
     box = _tiny(lb=0.0, ub=3.0)
@@ -100,8 +112,8 @@ def test_zero_column_models():
         return milp.MilpModel(
             instance=None, form="umfs", var_names=[], lb=np.zeros(0), ub=np.zeros(0),
             integrality=np.zeros(0), roles={"y": slice(0, 0), "u": slice(0, 0)},
-            row_cols=[np.zeros(0, dtype=int)], row_coefs=[np.zeros(0)],
-            row_sense=["<"], row_rhs=[rhs], row_names=["r0"],
+            csc=(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)),
+            row_lo=np.array([-np.inf]), row_hi=np.array([rhs]), row_names=["r0"],
             objective=np.zeros(0), objective_sense="max",
         )
 

@@ -152,6 +152,22 @@ def test_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [["--seed", "-1"], ["--threads", "-3"], ["--time-limit", "-1"], ["--time-limit", "nan"], ["--gap", "nan"]],
+    ids=["seed-negative", "threads-negative", "time-limit-negative", "time-limit-nan", "gap-nan"],
+)
+def test_out_of_range_solver_flags_report_error(toy_tmp, tmp_path, capsys, flags):
+    # a clear of the binary-free instance always runs solve_mip; the toy has binaries
+    plain = tmp_path / "plain.json"
+    assert cli.main(["generate", "--blocks", "0", "--mic", "0", "--out", str(plain)]) == 0
+    capsys.readouterr()
+    for path in (plain, toy_tmp):
+        assert cli.main(["clear", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "damage",
     ["block powers list", "atc capacity null", "bid not object", "period int", "network row object"],
 )

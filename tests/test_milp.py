@@ -1,14 +1,19 @@
+import hashlib
+import json
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_array
 
-from damclear import milp
+from damclear import _highs, milp
 from damclear.backend import SolveOptions, resolve_duals, solve_mip
 from damclear.engine import ClearingRequest, build_request_model
 from damclear.fileio import GeneratorConfig, generate
 from damclear.model import BlockBid, InstanceIndex, MicBid, MicSuborder
 
-from conftest import make_mic, make_pab_chain, make_toy
+from conftest import DATA_DIR, make_crossing_pair, make_day, make_mic, make_pab_chain, make_toy
 
 
 def test_big_m_block_sell_example():
@@ -122,129 +127,109 @@ def test_point_violations_flags_imbalance():
     assert viol["max"] > 1.0
 
 
-def _row_violations_reference(model, point):
-    """Row-by-row residuals: positive where a stored row fails at the point."""
-    rows = np.zeros(model.n_rows)
-    for r, (cols, coefs) in enumerate(zip(model.row_cols, model.row_coefs)):
-        act = float(coefs @ point[cols])
-        rhs = model.row_rhs[r]
-        sense = model.row_sense[r]
-        if sense == "<":
-            rows[r] = act - rhs
-        elif sense == ">":
-            rows[r] = rhs - act
-        else:
-            rows[r] = abs(act - rhs)
-    return np.clip(rows, 0.0, None)
-
-
-def test_point_violations_match_row_by_row_reference():
-    # the matrix product sums each row in another order than the loop, so
-    # rows agree to a few ulps of the row's absolute activity
-    rng = np.random.default_rng(11)
-    instances = (
-        make_toy(), make_mic(1000.0), make_pab_chain(),
-        generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
-    )
-    for instance in instances:
-        for form in ("umfs", "pcr"):
-            m = milp.build_model(instance, form)
-            lo = np.where(np.isfinite(m.lb), m.lb, -1e3)
-            hi = np.where(np.isfinite(m.ub), m.ub, 1e3)
-            for _ in range(20):
-                point = rng.uniform(lo - 1.0, hi + 1.0)
-                got = m.point_violations(point)
-                ref = _row_violations_reference(m, point)
-                scale = np.array([
-                    np.abs(coefs) @ np.abs(point[cols]) + abs(rhs)
-                    for cols, coefs, rhs in zip(m.row_cols, m.row_coefs, m.row_rhs)
-                ])
-                assert np.all(np.abs(got["rows"] - ref) <= 8 * np.finfo(float).eps * scale)
-                np.testing.assert_array_equal(got["lb"], np.clip(m.lb - point, 0.0, None))
-                np.testing.assert_array_equal(got["ub"], np.clip(point - m.ub, 0.0, None))
-                expected_max = max(ref.max(initial=0.0), got["lb"].max(), got["ub"].max())
-                assert got["max"] == pytest.approx(expected_max, rel=1e-12, abs=1e-12)
-
-
-def _reference_matrix(model):
-    """The rows as a scipy CSR matrix, built entry by entry in stored order."""
-    data, indices, indptr = [], [], [0]
-    for cols, coefs in zip(model.row_cols, model.row_coefs):
-        indices.extend(cols.tolist())
-        data.extend(coefs.tolist())
-        indptr.append(len(indices))
-    return csr_matrix(
-        (np.array(data), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
-        shape=(model.n_rows, model.n_cols),
-    )
-
-
-def test_constraint_csc_matches_the_row_loop_reference():
-    # HiGHS must get the very arrays scipy's CSR-to-CSC conversion gives;
-    # point_violations sums each row in column order instead of stored
-    # order, so its rows agree with the reference product to 8 ulps of the
-    # row's absolute activity plus its right-hand side
-    rng = np.random.default_rng(23)
-    instances = (
+def _instances():
+    return (
         make_toy(), make_mic(1000.0), make_pab_chain(),
         generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
         generate(GeneratorConfig(seed=40, n_blocks=5, n_mic=1)),
     )
-    for instance in instances:
-        for rules in ("pcr", "umfs"):
-            for objective in milp.OBJECTIVES:
-                m = build_request_model(instance, ClearingRequest(objective=objective, rules=rules))
-                ref = _reference_matrix(m)
-                want = ref.tocsc()
-                start, index, value = m.constraint_csc()
-                for got, expected in ((start, want.indptr), (index, want.indices), (value, want.data)):
-                    assert got.dtype == expected.dtype
-                    np.testing.assert_array_equal(got, expected)
-                rhs = np.asarray(m.row_rhs)
-                sense = np.asarray(m.row_sense)
-                lo = np.where(np.isfinite(m.lb), m.lb, -1e3)
-                hi = np.where(np.isfinite(m.ub), m.ub, 1e3)
-                for _ in range(20):
-                    point = rng.uniform(lo - 1.0, hi + 1.0)
-                    act = ref @ point
-                    rows = np.where(sense == "<", act - rhs,
-                                    np.where(sense == ">", rhs - act, np.abs(act - rhs)))
-                    scale = abs(ref) @ np.abs(point) + np.abs(rhs)
-                    got = m.point_violations(point)["rows"]
-                    assert np.all(np.abs(got - np.clip(rows, 0.0, None)) <= 8 * np.finfo(float).eps * scale)
 
 
-def _reference_row_bounds(model):
-    """(lower, upper) per row, row by row."""
-    lo = np.full(model.n_rows, -np.inf)
-    hi = np.full(model.n_rows, np.inf)
-    for r, (sense, rhs) in enumerate(zip(model.row_sense, model.row_rhs)):
-        if sense in ("=", ">"):
-            lo[r] = rhs
-        if sense in ("=", "<"):
-            hi[r] = rhs
-    return lo, hi
-
-
-def test_row_bounds_match_the_row_loop_reference():
-    instances = (
-        make_toy(), make_mic(1000.0), make_pab_chain(),
-        generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
-        generate(GeneratorConfig(seed=40, n_blocks=5, n_mic=1)),
-    )
-    models = []
-    for instance in instances:
+def _models():
+    """build_model in both forms and every request model of _instances()."""
+    for instance in _instances():
         for form in ("pcr", "umfs"):
-            models.append(milp.build_model(instance, form))
+            yield milp.build_model(instance, form)
             for objective in milp.OBJECTIVES:
-                models.append(build_request_model(instance, ClearingRequest(objective=objective, rules=form)))
-    rowless = models[0].copy()
-    rowless.row_cols, rowless.row_coefs, rowless.row_sense, rowless.row_rhs = [], [], [], []
-    assert {s for m in models for s in m.row_sense} == {"<", "=", ">"}
-    for m in models + [rowless]:
-        for got, want in zip(m.row_bounds(), _reference_row_bounds(m)):
-            assert got.dtype == want.dtype
+                yield build_request_model(instance, ClearingRequest(objective=objective, rules=form))
+
+
+def _scipy_matrix(model):
+    """The stored triple as a scipy CSC matrix, which checks its shape."""
+    start, index, value = model.constraint_csc()
+    return csc_array((value, index, start), shape=(model.n_rows, model.n_cols))
+
+
+def test_constraint_csc_is_a_canonical_scipy_matrix():
+    # HiGHS takes the stored arrays as they are: int32 starts and row
+    # indices, one entry per (row, column), rows ascending in each column;
+    # the per-row view the benchmark tracer counts is the CSR structure
+    for m in _models():
+        start, index, value = m.constraint_csc()
+        assert (start.dtype, index.dtype, value.dtype) == (np.int32, np.int32, np.float64)
+        assert not any(a.flags.writeable for a in (start, index, value, *m.row_bounds()))
+        A = _scipy_matrix(m)
+        assert A.has_canonical_format
+        csr = A.tocsr()
+        back = csr.tocsc()
+        for got, want in ((start, back.indptr), (index, back.indices), (value, back.data)):
             np.testing.assert_array_equal(got, want)
+        assert len(m.row_cols) == m.n_rows
+        for r, cols in enumerate(m.row_cols):
+            np.testing.assert_array_equal(cols, csr.indices[csr.indptr[r]:csr.indptr[r + 1]])
+
+
+def test_point_violations_match_the_scipy_product():
+    # point_violations sums each row through bincount, scipy in its own
+    # order, so rows agree to 8 ulps of the row's absolute activity plus
+    # its finite bounds
+    rng = np.random.default_rng(11)
+    for m in _models():
+        A = _scipy_matrix(m)
+        lo, hi = m.row_bounds()
+        eq, upper = lo == hi, np.isinf(lo)
+        scale_b = np.where(np.isfinite(lo), np.abs(lo), 0.0) + np.where(np.isfinite(hi), np.abs(hi), 0.0)
+        plo = np.where(np.isfinite(m.lb), m.lb, -1e3)
+        phi = np.where(np.isfinite(m.ub), m.ub, 1e3)
+        for _ in range(20):
+            point = rng.uniform(plo - 1.0, phi + 1.0)
+            act = A @ point
+            ref = np.clip(np.where(eq, np.abs(act - lo), np.where(upper, act - hi, lo - act)), 0.0, None)
+            got = m.point_violations(point)
+            scale = abs(A) @ np.abs(point) + scale_b
+            assert np.all(np.abs(got["rows"] - ref) <= 8 * np.finfo(float).eps * scale)
+            np.testing.assert_array_equal(got["lb"], np.clip(m.lb - point, 0.0, None))
+            np.testing.assert_array_equal(got["ub"], np.clip(point - m.ub, 0.0, None))
+            expected_max = max(ref.max(initial=0.0), got["lb"].max(), got["ub"].max())
+            assert got["max"] == pytest.approx(expected_max, rel=1e-12, abs=1e-12)
+
+
+# the sense of each row family, by row-name prefix
+_FAMILY_SENSE = {
+    "gate": "<", "bal": "=", "net": "<", "dh": ">", "dm": ">", "db": ">", "dc": ">",
+    "capdr": "<", "capdur": "<", "capda": "<", "netdual": "=", "objective": ">", "mic": ">",
+}
+
+
+def test_row_bounds_follow_each_row_family_sense():
+    # a '<' row has lower side -inf, a '>' row upper side +inf and an '='
+    # row two equal finite sides; the recorded digests pin the values
+    models = list(_models())
+    senses = set()
+    for m in models:
+        lo, hi = m.row_bounds()
+        assert lo.dtype == hi.dtype == np.float64
+        assert lo.shape == hi.shape == (m.n_rows,) == (len(m.row_names),)
+        for name, l, h in zip(m.row_names, lo, hi):
+            sense = _FAMILY_SENSE[name.split("_")[0]]
+            senses.add(sense)
+            if sense == "<":
+                assert l == -np.inf and np.isfinite(h), name
+            elif sense == ">":
+                assert np.isfinite(l) and h == np.inf, name
+            else:
+                assert l == h and np.isfinite(l), name
+    assert senses == {"<", "=", ">"}
+    base = models[0]
+    rowless = replace(
+        base, csc=(np.zeros(base.n_cols + 1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)),
+        row_lo=np.zeros(0), row_hi=np.zeros(0), row_names=[],
+    )
+    lo, hi = rowless.row_bounds()
+    assert lo.dtype == hi.dtype == np.float64 and lo.shape == hi.shape == (0,)
+    assert rowless.row_cols == []
+    viol = rowless.point_violations(np.zeros(rowless.n_cols))
+    assert viol["rows"].shape == (0,) and viol["max"] == 0.0
 
 
 def test_dispatcher_and_merged_forms_agree():
@@ -297,7 +282,19 @@ def test_unknown_objective_rejected():
         milp.build_model(make_toy(), "euphemia")
 
 
+def _read_back_optimum(path):
+    """The optimum HiGHS finds for a model it reads from an LP file."""
+    highs = _highs.core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("mip_rel_gap", 0.0)
+    assert highs.readModel(str(path)) == _highs.core.HighsStatus.kOk
+    highs.run()
+    assert highs.getModelStatus() == _highs.core.HighsModelStatus.kOptimal
+    return highs.getInfo().objective_function_value
+
+
 def test_write_lp(tmp_path):
+    # the file HiGHS reads back solves to solve_mip's optimum
     m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
     path = tmp_path / "toy.lp"
     milp.write_lp(m, path)
@@ -306,6 +303,23 @@ def test_write_lp(tmp_path):
     assert "Subject To" in text
     assert "Binaries" in text or "Binary" in text
     assert "y_C" in text and "pi_L1_T1" in text
+    instances = {
+        "toy": make_toy(), "mic": make_mic(1000.0),
+        "seed5": generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
+    }
+    for label, instance in instances.items():
+        for form in ("umfs", "pcr"):
+            m = milp.set_objective(milp.build_model(instance, form), "welfare")
+            path = tmp_path / f"{label}_{form}.lp"
+            milp.write_lp(m, path)
+            want = solve_mip(m, SolveOptions(relative_gap_target=0.0))
+            assert want.status == "optimal"
+            got = _read_back_optimum(path)
+            assert got == pytest.approx(want.objective, abs=1e-6 * (1 + abs(want.objective))), (label, form)
+    # LP-format rows take one side; a row with two distinct finite sides is refused
+    ranged = replace(m, row_lo=np.where(np.isinf(m.row_lo), -1.0, m.row_lo), row_hi=np.full(m.n_rows, 1e9))
+    with pytest.raises(ValueError, match="two sides"):
+        milp.write_lp(ranged, tmp_path / "ranged.lp")
 
 
 def test_copy_isolates_bounds():
@@ -324,3 +338,52 @@ def test_empty_instance_builds():
     out = solve_mip(m, SolveOptions())
     assert out.status == "optimal"
     assert out.objective == pytest.approx(0.0, abs=1e-12)
+
+
+_DIGESTS = os.path.join(DATA_DIR, "assembled_model_digests.json")
+
+
+def _digest_instances():
+    """The conftest instances, sweep-family seeds 0-41 and the 2 x 24 day."""
+    yield "toy", make_toy()
+    yield "crossing_pair", make_crossing_pair()
+    yield "mic_1000", make_mic(1000.0)
+    yield "mic_9000", make_mic(9000.0)
+    yield "pab_chain", make_pab_chain()
+    for seed in range(42):
+        yield f"sweep_{seed}", generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+    yield "day_42", make_day(42)
+
+
+def _model_digest(model):
+    """sha256 over the model's matrix, row bounds, columns, objective and names."""
+    h = hashlib.sha256()
+    arrays = (*model.constraint_csc(), *model.row_bounds(), model.lb, model.ub,
+              model.integrality, model.objective)
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    for names in (model.var_names, model.row_names):
+        h.update(("\n".join(names) + "\0").encode())
+    h.update(repr((model.form, model.objective_sense, sorted(model.roles.items()))).encode())
+    return h.hexdigest()
+
+
+def _assembled_digests():
+    return {
+        name: {
+            f"{rules}/{objective}": _model_digest(
+                build_request_model(instance, ClearingRequest(objective=objective, rules=rules)))
+            for rules in ("pcr", "umfs") for objective in milp.OBJECTIVES
+        }
+        for name, instance in _digest_instances()
+    }
+
+
+def test_assembled_models_match_the_recorded_digests():
+    # recorded from the row-by-row builder at commit 5664576; the block
+    # builder must reproduce every array, dtype and name bit for bit
+    with open(_DIGESTS) as fh:
+        want = json.load(fh)
+    assert _assembled_digests() == want
