@@ -364,8 +364,8 @@ def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> C
     and the MIP gets what is left of the time limit. A certified start, or
     one the MIP keeps, is priced by the LP that checked its selection and
     carries the relaxation bound when the MIP has none of its own; any
-    other MIP outcome is priced by _finalize. The model build validates
-    the instance.
+    other MIP outcome is priced by _finalize. The instance was validated
+    when it was built.
     """
     model = build_request_model(instance, request)
     t0 = time.perf_counter()

@@ -27,7 +27,6 @@ from .model import (
     MicSuborder,
     Network,
     single_node_network,
-    validate_instance,
 )
 
 FORMAT_VERSION = 1
@@ -235,7 +234,7 @@ def parse_instance(text: str) -> Instance:
                 suborders=tuple(subs),
             )
         )
-    instance = Instance(
+    return Instance(
         hourly_bids=tuple(hourly),
         block_bids=tuple(blocks),
         mic_bids=tuple(mics),
@@ -243,8 +242,6 @@ def parse_instance(text: str) -> Instance:
         price_cap=price_cap,
         currency=currency,
     )
-    validate_instance(instance)
-    return instance
 
 
 def parse(path) -> Instance:
@@ -485,7 +482,7 @@ def generate(config: GeneratorConfig) -> Instance:
                 )
         network = atc_network(locs, pers, lines)
 
-    instance = Instance(
+    return Instance(
         hourly_bids=tuple(hourly),
         block_bids=tuple(blocks),
         mic_bids=tuple(mics),
@@ -493,8 +490,6 @@ def generate(config: GeneratorConfig) -> Instance:
         price_cap=config.price_cap,
         currency=config.currency,
     )
-    validate_instance(instance)
-    return instance
 
 
 def _prices_csv(instance: Instance, solution: ClearingSolution) -> str:

@@ -21,12 +21,12 @@ model. build_model assembles one of two forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import BlockBid, Instance, InstanceIndex, MicBid, validate_instance
+from .model import BlockBid, Instance, InstanceIndex, MicBid
 
 OBJECTIVES = ("welfare", "volume", "min_opportunity_cost")
 
@@ -114,13 +114,13 @@ class MilpModel:
     an infinite side being absent. The matrix, the row bounds and
     integrality are read-only, and copies share them. Column bounds may be
     tightened in place (that is how selections get fixed). ``roles`` maps
-    a column group name to its slice. ``warm_start`` holds a full column
-    vector or None.
+    a column group name to its slice and ``row_roles`` a row family name
+    to its slice; columns and rows carry no other names. ``warm_start``
+    holds a full column vector or None.
     """
 
     instance: Instance
     form: str
-    var_names: list[str]
     lb: np.ndarray
     ub: np.ndarray
     integrality: np.ndarray
@@ -128,7 +128,7 @@ class MilpModel:
     csc: tuple
     row_lo: np.ndarray
     row_hi: np.ndarray
-    row_names: list[str]
+    row_roles: dict[str, slice] = field(default_factory=dict)
     objective: Optional[np.ndarray] = None
     objective_sense: str = "max"
     warm_start: Optional[np.ndarray] = None
@@ -139,7 +139,7 @@ class MilpModel:
 
     @property
     def n_cols(self) -> int:
-        return len(self.var_names)
+        return len(self.lb)
 
     @property
     def n_rows(self) -> int:
@@ -203,10 +203,6 @@ class MilpModel:
         return {"rows": rows, "lb": lbv, "ub": ubv, "max": float(mx)}
 
 
-def _san(name: str) -> str:
-    return "".join(ch if (ch.isalnum() or ch == "_") else "_" for ch in name)
-
-
 def build_model(instance: Instance, form: str) -> MilpModel:
     """Assemble the primal-dual model in the given form ("umfs" or "pcr").
 
@@ -216,11 +212,12 @@ def build_model(instance: Instance, form: str) -> MilpModel:
     umfs form only, the block compensations d_accept and the rejection
     slacks d_reject / du_reject. The paradoxical-rejection compensations
     du^a are fixed to zero by omission (they can be zeroed without loss of
-    generality). The minimum-income rows come last. No objective is set.
+    generality). The minimum-income rows come last; ``row_roles`` names
+    each row family's slice. No objective is set. The instance was
+    validated when it was built.
     """
     if form not in ("umfs", "pcr"):
         raise ValueError(f"unknown form {form!r}")
-    validate_instance(instance)
     return _assemble(instance, form)
 
 
@@ -282,59 +279,49 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     K, M = idx.n_basis, idx.n_net_rows
     rI, rS, rJ, rC = np.arange(nI), np.arange(nS), np.arange(nJ), np.arange(nC)
 
-    names: list[str] = []
-    lb: list[float] = []
-    ub: list[float] = []
-    integ: list[int] = []
     roles: dict[str, slice] = {}
+    spans: list[tuple] = []  # (count, lower, upper, integrality) per role
 
-    def add_cols(role, labels, lo, hi, binary=False):
-        roles[role] = slice(len(names), len(names) + len(labels))
-        names.extend(labels)
-        lb.extend([lo] * len(labels))
-        ub.extend([hi] * len(labels))
-        integ.extend([int(binary)] * len(labels))
-        return roles[role].start
+    def add_cols(role, n, lo, hi, binary=False):
+        first = sum(span[0] for span in spans)
+        roles[role] = slice(first, first + n)
+        spans.append((n, lo, hi, int(binary)))
+        return first
 
-    hid = [_san(b.id) for b in instance.hourly_bids]
-    bid = [_san(b.id) for b in instance.block_bids]
-    cid = [_san(c.id) for c in instance.mic_bids]
-    sid = [f"{cid[idx.sub_owner[h]]}_{h - idx.mic_slices[idx.sub_owner[h]].start}" for h in range(nS)]
-    ltlab = [f"{_san(l)}_{_san(t)}" for l in net.locations for t in net.periods]
-
-    cx = add_cols("x", [f"x_{s}" for s in hid], 0.0, 1.0)
-    cxm = add_cols("x_mic", [f"xm_{s}" for s in sid], 0.0, 1.0)
-    cy = add_cols("y", [f"y_{s}" for s in bid], 0.0, 1.0, binary=True)
-    cu = add_cols("u", [f"u_{s}" for s in cid], 0.0, 1.0, binary=True)
-    cn = add_cols("n", [f"n_{k}" for k in range(K)], -np.inf, np.inf)
-    cpi = add_cols("pi", [f"pi_{s}" for s in ltlab], -cap, cap)
-    cv = add_cols("v", [f"v_{m}" for m in range(M)], 0.0, np.inf)
-    csi = add_cols("s_hourly", [f"s_{s}" for s in hid], 0.0, np.inf)
-    csh = add_cols("s_mic_sub", [f"sm_{s}" for s in sid], 0.0, np.inf)
-    csj = add_cols("s_block", [f"sb_{s}" for s in bid], 0.0, np.inf)
-    csmic = add_cols("s_mic", [f"sc_{s}" for s in cid], 0.0, np.inf)
+    cx = add_cols("x", nI, 0.0, 1.0)
+    cxm = add_cols("x_mic", nS, 0.0, 1.0)
+    cy = add_cols("y", nJ, 0.0, 1.0, binary=True)
+    cu = add_cols("u", nC, 0.0, 1.0, binary=True)
+    cn = add_cols("n", K, -np.inf, np.inf)
+    cpi = add_cols("pi", idx.LT, -cap, cap)
+    cv = add_cols("v", M, 0.0, np.inf)
+    csi = add_cols("s_hourly", nI, 0.0, np.inf)
+    csh = add_cols("s_mic_sub", nS, 0.0, np.inf)
+    csj = add_cols("s_block", nJ, 0.0, np.inf)
+    csmic = add_cols("s_mic", nC, 0.0, np.inf)
     if umfs:
-        cda = add_cols("d_accept", [f"da_{s}" for s in bid], 0.0, np.inf)
-        cdr = add_cols("d_reject", [f"dr_{s}" for s in bid], 0.0, np.inf)
-        cdur = add_cols("du_reject", [f"dur_{s}" for s in cid], 0.0, np.inf)
+        cda = add_cols("d_accept", nJ, 0.0, np.inf)
+        cdr = add_cols("d_reject", nJ, 0.0, np.inf)
+        cdur = add_cols("du_reject", nC, 0.0, np.inf)
 
     entries: list[tuple] = []
     row_lo: list[np.ndarray] = []
     row_hi: list[np.ndarray] = []
-    row_names: list[str] = []
+    row_roles: dict[str, slice] = {}
 
     def fill(x, n):
         """x itself when it is an array, else n copies of the scalar x."""
         return x if isinstance(x, np.ndarray) else np.full(n, x)
 
-    def add_rows(labels, sense, rhs, *blocks):
-        """One row family; each block is (row within the family, column
-        array, coefficient), the row and the coefficient arrays or scalars."""
-        first, n = len(row_names), len(labels)
+    def add_rows(family, n, sense, rhs, *blocks):
+        """One row family of n rows; each block is (row within the family,
+        column array, coefficient), the row and the coefficient arrays or
+        scalars."""
+        first = sum(map(len, row_lo))
+        row_roles[family] = slice(first, first + n)
         rhs = np.full(n, rhs, dtype=float)
         row_lo.append(np.full(n, -np.inf) if sense == "<" else rhs)
         row_hi.append(np.full(n, np.inf) if sense == ">" else rhs)
-        row_names.extend(labels)
         for r, c, v in blocks:
             entries.append((first + fill(r, len(c)), c, fill(v, len(c))))
 
@@ -350,25 +337,25 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     wm = np.nonzero(w)[0]
 
     # suborder gating: x_hc <= u_c
-    add_rows([f"gate_{s}" for s in sid], "<", 0.0,
+    add_rows("gate", nS, "<", 0.0,
              (rS, cxm + rS, 1.0), (rS, cu + idx.sub_owner, -1.0))
 
     # power balance per (location, period)
-    add_rows([f"bal_{s}" for s in ltlab], "=", 0.0,
+    add_rows("balance", idx.LT, "=", 0.0,
              (idx.hourly_lt, cx + rI, idx.hourly_power),
              (idx.sub_lt, cxm + rS, idx.sub_power),
              (b_lt, cy + bj, b_p),
              (elt, cn + ek, -e))
 
     # network capacity rows
-    add_rows([f"net_{m}" for m in range(M)], "<", w, (am, cn + ak, a[am, ak]))
+    add_rows("network", M, "<", w, (am, cn + ak, a[am, ak]))
 
     # dual feasibility of hourly fractions: s_i + P_i pi >= P_i limit_i
-    add_rows([f"dh_{s}" for s in hid], ">", idx.hourly_power * idx.hourly_limit,
+    add_rows("dual_x", nI, ">", idx.hourly_power * idx.hourly_limit,
              (rI, csi + rI, 1.0), (rI, cpi + idx.hourly_lt, idx.hourly_power))
 
     # dual feasibility of MIC suborders
-    add_rows([f"dm_{s}" for s in sid], ">", idx.sub_power * idx.sub_limit,
+    add_rows("dual_x_mic", nS, ">", idx.sub_power * idx.sub_limit,
              (rS, csh + rS, 1.0), (rS, cpi + idx.sub_lt, idx.sub_power))
 
     # dual feasibility of blocks and MIC bids; dispatchers in the umfs form,
@@ -378,25 +365,25 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     block_rows = ((rJ, csj + rJ, 1.0), (bj, cpi + b_lt, b_p))
     mic_rows = ((rC, csmic + rC, 1.0), (idx.sub_owner, csh + rS, -1.0))
     if umfs:
-        add_rows([f"db_{s}" for s in bid], ">", block_value, *block_rows,
+        add_rows("dual_y", nJ, ">", block_value, *block_rows,
                  (rJ, cdr + rJ, 1.0), (rJ, cda + rJ, -1.0))
-        add_rows([f"dc_{s}" for s in cid], ">", 0.0, *mic_rows, (rC, cdur + rC, 1.0))
-        add_rows([f"capdr_{s}" for s in bid], "<", Mr, (rJ, cdr + rJ, 1.0), (rJ, cy + rJ, Mr))
-        add_rows([f"capdur_{s}" for s in cid], "<", Mc, (rC, cdur + rC, 1.0), (rC, cu + rC, Mc))
-        add_rows([f"capda_{s}" for s in bid], "<", 0.0,
+        add_rows("dual_u", nC, ">", 0.0, *mic_rows, (rC, cdur + rC, 1.0))
+        add_rows("cap_d_reject", nJ, "<", Mr, (rJ, cdr + rJ, 1.0), (rJ, cy + rJ, Mr))
+        add_rows("cap_du_reject", nC, "<", Mc, (rC, cdur + rC, 1.0), (rC, cu + rC, Mc))
+        add_rows("cap_d_accept", nJ, "<", 0.0,
                  (rJ, cda + rJ, 1.0), (rJ, cy + rJ, -big_m.block_accept))
     else:
-        add_rows([f"db_{s}" for s in bid], ">", block_value - Mr, *block_rows, (rJ, cy + rJ, -Mr))
-        add_rows([f"dc_{s}" for s in cid], ">", -Mc, *mic_rows, (rC, cu + rC, -Mc))
+        add_rows("dual_y", nJ, ">", block_value - Mr, *block_rows, (rJ, cy + rJ, -Mr))
+        add_rows("dual_u", nC, ">", -Mc, *mic_rows, (rC, cu + rC, -Mc))
 
     # stationarity of net positions: sum_m a_mk v_m = sum_lt inj_klt pi_lt
-    add_rows([f"netdual_{k}" for k in range(K)], "=", 0.0,
+    add_rows("dual_n", K, "=", 0.0,
              (ak, cv + am, a[am, ak]), (ek, cpi + elt, -e))
 
     # objective-equality row: primal value >= dual value; weak duality makes
     # it an equality at every feasible point, forcing fixed-selection
     # optimality and all complementarity conditions
-    add_rows(["objective_equality"], ">", 0.0,
+    add_rows("objective_equality", 1, ">", 0.0,
              (0, cx + rI, idx.hourly_power * idx.hourly_limit),
              (0, cxm + rS, idx.sub_power * idx.sub_limit),
              (0, cy + rJ, block_value),
@@ -409,7 +396,7 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     # s_c, so income >= fixed_cost + variable_cost * sold volume becomes
     #     s_c + sum_h P_hc (V_c - limit_hc) x_hc - F_c u_c >= 0,
     # deactivated by the bid's own fixed cost when u_c = 0
-    add_rows([f"mic_income_{s}" for s in cid], ">", 0.0,
+    add_rows("mic_income", nC, ">", 0.0,
              (rC, csmic + rC, 1.0), (rC, cu + rC, -idx.mic_fixed),
              (idx.sub_owner, cxm + rS,
               idx.sub_power * (idx.mic_variable[idx.sub_owner] - idx.sub_limit)))
@@ -417,31 +404,41 @@ def _assemble(instance: Instance, form: str) -> MilpModel:
     # one compressed-column matrix: entries sorted by (column, row)
     rows, cols, value = (np.concatenate(part) for part in zip(*entries))
     order = np.lexsort((rows, cols))
-    start = np.zeros(len(names) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=len(names)), out=start[1:])
+    count, lo, hi, binary = (np.array(part) for part in zip(*spans))
+    n_cols = int(count.sum())
+    start = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
     return MilpModel(
         instance=instance,
         form=form,
-        var_names=names,
-        lb=np.array(lb),
-        ub=np.array(ub),
-        integrality=np.array(integ),
+        lb=np.repeat(lo, count),
+        ub=np.repeat(hi, count),
+        integrality=np.repeat(binary, count),
         roles=roles,
         csc=(start, rows[order].astype(np.int32), value[order]),
         row_lo=np.concatenate(row_lo),
         row_hi=np.concatenate(row_hi),
-        row_names=row_names,
+        row_roles=row_roles,
     )
 
 
 def write_lp(model: MilpModel, path) -> None:
     """Write the model in CPLEX LP format.
 
-    Requires an installed objective. Variable names follow the builder's
-    role prefixes, so the file is self-describing enough for debugging.
+    Requires an installed objective. Column k of role r is named ``r_k``
+    and row k of family f ``f_k``, so names never depend on bid ids.
     """
     if model.objective is None:
         raise ValueError("set an objective before exporting")
+
+    def labels(groups, n):
+        out = [""] * n
+        for group, sl in groups.items():
+            out[sl] = [f"{group}_{k}" for k in range(sl.stop - sl.start)]
+        return out
+
+    col_names = labels(model.roles, model.n_cols)
+    row_names = labels(model.row_roles, model.n_rows)
 
     def term(coef, name, lead=False):
         if lead:
@@ -455,9 +452,9 @@ def write_lp(model: MilpModel, path) -> None:
     obj_terms = []
     nz = np.nonzero(model.objective)[0]
     if nz.size == 0:
-        obj_terms.append("0 " + model.var_names[0])
+        obj_terms.append("0 " + col_names[0])
     for k, col in enumerate(nz):
-        obj_terms.append(term(model.objective[col], model.var_names[col], lead=(k == 0)))
+        obj_terms.append(term(model.objective[col], col_names[col], lead=(k == 0)))
     lines.append(" obj: " + " ".join(obj_terms))
     lines.append("Subject To")
     ptr, cols, value = model._row_major()
@@ -466,9 +463,9 @@ def write_lp(model: MilpModel, path) -> None:
         for col, coef in zip(cols[ptr[r]:ptr[r + 1]], value[ptr[r]:ptr[r + 1]]):
             if coef == 0.0:
                 continue
-            parts.append(term(coef, model.var_names[col], lead=(len(parts) == 0)))
+            parts.append(term(coef, col_names[col], lead=(len(parts) == 0)))
         if not parts:
-            parts = ["0 " + model.var_names[0]]
+            parts = ["0 " + col_names[0]]
         lo, hi = model.row_lo[r], model.row_hi[r]
         if lo == hi:
             rel = f"= {lo:.17g}"
@@ -477,12 +474,12 @@ def write_lp(model: MilpModel, path) -> None:
         elif hi == np.inf:
             rel = f">= {lo:.17g}"
         else:
-            raise ValueError(f"row {model.row_names[r]} has two sides; LP format rows take one")
-        lines.append(f" {model.row_names[r]}: " + " ".join(parts) + " " + rel)
+            raise ValueError(f"row {row_names[r]} has two sides; LP format rows take one")
+        lines.append(f" {row_names[r]}: " + " ".join(parts) + " " + rel)
     lines.append("Bounds")
     for col in range(model.n_cols):
         lo, hi = model.lb[col], model.ub[col]
-        name = model.var_names[col]
+        name = col_names[col]
         if model.integrality[col]:
             if (lo, hi) != (0.0, 1.0):
                 lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
@@ -495,7 +492,7 @@ def write_lp(model: MilpModel, path) -> None:
             lines.append(f" -inf <= {name} <= {hi:.17g}")
         else:
             lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
-    bins = [model.var_names[c] for c in range(model.n_cols) if model.integrality[c]]
+    bins = [col_names[c] for c in range(model.n_cols) if model.integrality[c]]
     if bins:
         lines.append("Binaries")
         for name in bins:

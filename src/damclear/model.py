@@ -5,14 +5,17 @@ power is a sale (supply). A bid's limit price is the worst price at which it
 is willing to trade, so accepted surplus per unit is power * (limit - price)
 regardless of side.
 
-Instances are frozen; every derived quantity (welfare, traded volume, block
-surplus decompositions) is recomputed from bid data and a solution, never
-cached on the objects.
+Instances are frozen and validated when they are built: constructing an
+Instance runs validate_instance, so an Instance that exists is valid, and
+nothing inside it can be reassigned (bid power profiles and ATC capacities
+are read-only mappings, network arrays read-only). Derived quantities are
+recomputed from bid data and a solution, never cached on the objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -37,8 +40,9 @@ class HourlyBid:
 class BlockBid:
     """Multi-period indivisible order at one location.
 
-    ``powers`` maps period label to MW; entries must share one sign. The
-    bid is accepted in full or not at all.
+    ``powers`` maps period label to MW (a read-only copy of the mapping
+    given); entries must share one sign. The bid is accepted in full or
+    not at all.
     """
 
     id: str
@@ -47,7 +51,7 @@ class BlockBid:
     limit_price: float
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", dict(self.powers))
+        object.__setattr__(self, "powers", MappingProxyType(dict(self.powers)))
 
     def total_power(self) -> float:
         return float(sum(self.powers.values()))
@@ -83,14 +87,14 @@ class MicBid:
 
 @dataclass(frozen=True)
 class AtcLine:
-    """Directed transmission link with per-period capacity."""
+    """Directed transmission link with per-period capacity (read-only)."""
 
     from_location: str
     to_location: str
     capacities: Mapping[str, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", dict(self.capacities))
+        object.__setattr__(self, "capacities", MappingProxyType(dict(self.capacities)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,13 @@ def single_node_network(location: str = "L1", periods: tuple[str, ...] = ("T1",)
 
 @dataclass(frozen=True)
 class Instance:
+    """One auction: bids, network and price cap.
+
+    Built instances are valid: __post_init__ runs validate_instance and
+    raises InvalidInstanceError naming the culprit, so no later layer
+    checks the instance again.
+    """
+
     hourly_bids: tuple[HourlyBid, ...]
     block_bids: tuple[BlockBid, ...]
     mic_bids: tuple[MicBid, ...]
@@ -168,6 +179,7 @@ class Instance:
         object.__setattr__(self, "hourly_bids", tuple(self.hourly_bids))
         object.__setattr__(self, "block_bids", tuple(self.block_bids))
         object.__setattr__(self, "mic_bids", tuple(self.mic_bids))
+        validate_instance(self)
 
 
 @dataclass(frozen=True)
@@ -200,15 +212,6 @@ class ClearingSolution:
     total_opportunity_cost: float
     solver_gap: float = 0.0
     solver_status: str = "optimal"
-
-
-@dataclass(frozen=True)
-class BlockSurplusTerms:
-    """Decomposition of one block bid's position against clearing prices."""
-
-    surplus_if_accepted: float
-    opportunity_cost: float
-    loss: float
 
 
 class InstanceIndex:
@@ -320,7 +323,10 @@ class InstanceIndex:
 
 
 def validate_instance(instance: Instance) -> None:
-    """Check structural invariants; raises InvalidInstanceError naming the culprit."""
+    """Check structural invariants; raises InvalidInstanceError naming the culprit.
+
+    Instance.__post_init__ runs this, so every built Instance has passed it.
+    """
     net = instance.network
     if instance.price_cap <= 0 or not np.isfinite(instance.price_cap):
         raise InvalidInstanceError("price_cap must be positive and finite")
@@ -412,39 +418,3 @@ def validate_instance(instance: Instance) -> None:
                 )
             check_price(s.limit_price, f"MIC bid {c.id!r} suborder {k}")
 
-
-def welfare(instance: Instance, solution: ClearingSolution) -> float:
-    """Total surplus of the dispatch: sum of limit-price-weighted traded power."""
-    return InstanceIndex(instance).welfare_value(solution.x, solution.x_mic, solution.y)
-
-
-def traded_volume(instance: Instance, solution: ClearingSolution) -> float:
-    """Buy-side matched volume in MWh."""
-    return InstanceIndex(instance).buy_volume(solution.x, solution.x_mic, solution.y)
-
-
-def block_surplus_terms(
-    instance: Instance, solution: ClearingSolution, block_id: str
-) -> BlockSurplusTerms:
-    idx = InstanceIndex(instance)
-    ids = [b.id for b in instance.block_bids]
-    try:
-        j = ids.index(block_id)
-    except ValueError:
-        raise KeyError(f"no block bid with id {block_id!r}") from None
-    sigma = float(idx.block_surplus(solution.prices)[j])
-    accepted = solution.y[j] > 0.5
-    return BlockSurplusTerms(
-        surplus_if_accepted=sigma,
-        opportunity_cost=0.0 if accepted else max(0.0, sigma),
-        loss=max(0.0, -sigma) if accepted else 0.0,
-    )
-
-
-def total_block_opportunity_cost(instance: Instance, prices: np.ndarray, y: np.ndarray) -> float:
-    """Sum over rejected blocks of foregone surplus at the given prices."""
-    idx = InstanceIndex(instance)
-    if not idx.n_block:
-        return 0.0
-    sigma = idx.block_surplus(prices)
-    return float(np.clip(sigma, 0.0, None) @ (1.0 - np.round(np.asarray(y))))

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ._highs import core as _highspy
-from .model import ClearingSolution, Instance, InstanceIndex, validate_instance
+from .model import ClearingSolution, Instance, InstanceIndex
 
 GUARD = 20
 
@@ -354,7 +354,6 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
     Guard-limited to #blocks + #MIC <= GUARD (enumeration is exponential).
     Records come in selection order, so results are deterministic.
     """
-    validate_instance(instance)
     if rules not in ("pcr", "umfs"):
         raise ValueError(f"unknown rules {rules!r}")
     nJ, nb = len(instance.block_bids), len(instance.block_bids) + len(instance.mic_bids)

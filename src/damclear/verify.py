@@ -8,12 +8,14 @@ Deliberately model-free: only Instance and ClearingSolution are consulted,
 never the MILP, so builder bugs cannot hide from it.
 
 Every residual is scaled by (1 + magnitude of the terms entering the
-condition); tolerances below refer to these scaled residuals. Violations
-are data, not exceptions.
+condition); tolerances below refer to these scaled residuals. A NaN
+residual counts as infinite, so a non-finite value fails its family.
+Violations are data, not exceptions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,6 +57,9 @@ class FamilyResult:
     def record(self, condition: str, element: str, residual: float) -> None:
         self.n_checked += 1
         residual = float(residual)
+        if math.isnan(residual):
+            # NaN compares false against every bound and would pass unseen
+            residual = math.inf
         if residual > self.max_residual:
             self.max_residual = residual
         if residual > self.tolerance and len(self.violations) < 200:
@@ -155,12 +160,12 @@ def verify_equilibrium(
     for i in range(idx.n_hourly):
         primal.record("primal-eq1", hourly_ids[i], _sc(max(-x[i], x[i] - 1.0, 0.0), x[i]))
     for j in range(idx.n_block):
-        primal.record("primal-eq2", block_ids[j], _sc(abs(y[j] - round(y[j])), 1.0))
+        primal.record("primal-eq2", block_ids[j], _sc(abs(y[j] - np.rint(y[j])), 1.0))
     for h in range(idx.n_sub):
         own = idx.sub_owner[h]
         primal.record("primal-eq3", sub_ids[h], _sc(max(-xm[h], xm[h] - u[own], 0.0), xm[h]))
     for c in range(idx.n_mic):
-        primal.record("primal-eq4", mic_ids[c], _sc(abs(u[c] - round(u[c])), 1.0))
+        primal.record("primal-eq4", mic_ids[c], _sc(abs(u[c] - np.rint(u[c])), 1.0))
     # balance per (l,t)
     traded = np.zeros(idx.LT)
     scale_bal = np.zeros(idx.LT)

@@ -21,12 +21,11 @@ def _tiny(row_lo=(), row_hi=(), lb=-np.inf, ub=np.inf, objective=1.0):
     n = len(row_lo)
     return milp.MilpModel(
         instance=None, form="umfs",
-        var_names=["z"], lb=np.array([float(lb)]), ub=np.array([float(ub)]),
+        lb=np.array([float(lb)]), ub=np.array([float(ub)]),
         integrality=np.zeros(1),
         roles={"y": slice(0, 0), "u": slice(0, 0)},
         csc=(np.array([0, n], dtype=np.int32), np.arange(n, dtype=np.int32), np.ones(n)),
         row_lo=np.array(row_lo, dtype=float), row_hi=np.array(row_hi, dtype=float),
-        row_names=[f"r{i}" for i in range(n)],
         objective=np.array([objective]), objective_sense="max",
     )
 
@@ -110,10 +109,10 @@ def test_zero_column_models():
     # HiGHS reports a model without columns as Empty, feasible or not
     def empty(rhs):
         return milp.MilpModel(
-            instance=None, form="umfs", var_names=[], lb=np.zeros(0), ub=np.zeros(0),
+            instance=None, form="umfs", lb=np.zeros(0), ub=np.zeros(0),
             integrality=np.zeros(0), roles={"y": slice(0, 0), "u": slice(0, 0)},
             csc=(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)),
-            row_lo=np.array([-np.inf]), row_hi=np.array([rhs]), row_names=["r0"],
+            row_lo=np.array([-np.inf]), row_hi=np.array([rhs]),
             objective=np.zeros(0), objective_sense="max",
         )
 

@@ -78,6 +78,25 @@ def test_verify_pass_and_tampered(toy_tmp, tmp_path, capsys):
     assert "failing families:" in captured.err
 
 
+def test_verify_fails_a_nan_price(toy_tmp, tmp_path, capsys):
+    assert cli.main(["clear", str(toy_tmp)]) == 0
+    capsys.readouterr()
+    sol_path = tmp_path / "toy.solution.json"
+    doc = json.loads(sol_path.read_text())
+    doc["prices"][0][0] = math.nan
+    sol_path.write_text(json.dumps(doc))
+    rep = tmp_path / "nan.report.json"
+    rc = cli.main(["verify", str(toy_tmp), str(sol_path), "--out", str(rep)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out.startswith("verify=FAIL")
+    assert "price-range" in captured.err.split("failing families:")[1]
+    with open(rep) as fh:
+        report = json.load(fh)
+    assert report["overall_pass"] is False
+    assert report["families"]["price-range"]["passed"] is False
+
+
 def test_verify_writes_report(toy_tmp, tmp_path, capsys):
     assert cli.main(["clear", str(toy_tmp)]) == 0
     rep = tmp_path / "again.report.json"

@@ -71,11 +71,11 @@ def test_empty_instance_clears_to_zero():
 
 
 def test_clear_rejects_a_malformed_instance():
-    # the model build validates the instance; the pipeline does not repeat it
+    # an instance validates itself when it is built, so a malformed one
+    # never exists for clear to see
     toy = make_toy()
-    bad = replace(toy, hourly_bids=toy.hourly_bids + toy.hourly_bids[:1])
     with pytest.raises(InvalidInstanceError, match="duplicate hourly"):
-        clear(bad, ClearingRequest())
+        replace(toy, hourly_bids=toy.hourly_bids + toy.hourly_bids[:1])
 
 
 def test_request_validation():

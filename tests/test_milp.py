@@ -194,10 +194,11 @@ def test_point_violations_match_the_scipy_product():
             assert got["max"] == pytest.approx(expected_max, rel=1e-12, abs=1e-12)
 
 
-# the sense of each row family, by row-name prefix
+# the sense of each row family
 _FAMILY_SENSE = {
-    "gate": "<", "bal": "=", "net": "<", "dh": ">", "dm": ">", "db": ">", "dc": ">",
-    "capdr": "<", "capdur": "<", "capda": "<", "netdual": "=", "objective": ">", "mic": ">",
+    "gate": "<", "balance": "=", "network": "<", "dual_x": ">", "dual_x_mic": ">",
+    "dual_y": ">", "dual_u": ">", "cap_d_reject": "<", "cap_du_reject": "<",
+    "cap_d_accept": "<", "dual_n": "=", "objective_equality": ">", "mic_income": ">",
 }
 
 
@@ -209,21 +210,28 @@ def test_row_bounds_follow_each_row_family_sense():
     for m in models:
         lo, hi = m.row_bounds()
         assert lo.dtype == hi.dtype == np.float64
-        assert lo.shape == hi.shape == (m.n_rows,) == (len(m.row_names),)
-        for name, l, h in zip(m.row_names, lo, hi):
-            sense = _FAMILY_SENSE[name.split("_")[0]]
+        assert lo.shape == hi.shape == (m.n_rows,)
+        # the families tile the rows in order, three fewer in the pcr form
+        assert len(m.row_roles) == (13 if m.form == "umfs" else 10)
+        assert set(m.row_roles) <= set(_FAMILY_SENSE)
+        stops = [0] + [sl.stop for sl in m.row_roles.values()]
+        assert [sl.start for sl in m.row_roles.values()] == stops[:-1]
+        assert stops[-1] == m.n_rows
+        for family, sl in m.row_roles.items():
+            sense = _FAMILY_SENSE[family]
             senses.add(sense)
+            l, h = lo[sl], hi[sl]
             if sense == "<":
-                assert l == -np.inf and np.isfinite(h), name
+                assert np.all(l == -np.inf) and np.all(np.isfinite(h)), family
             elif sense == ">":
-                assert np.isfinite(l) and h == np.inf, name
+                assert np.all(np.isfinite(l)) and np.all(h == np.inf), family
             else:
-                assert l == h and np.isfinite(l), name
+                assert np.all(l == h) and np.all(np.isfinite(l)), family
     assert senses == {"<", "=", ">"}
     base = models[0]
     rowless = replace(
         base, csc=(np.zeros(base.n_cols + 1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)),
-        row_lo=np.zeros(0), row_hi=np.zeros(0), row_names=[],
+        row_lo=np.zeros(0), row_hi=np.zeros(0), row_roles={},
     )
     lo, hi = rowless.row_bounds()
     assert lo.dtype == hi.dtype == np.float64 and lo.shape == hi.shape == (0,)
@@ -302,7 +310,9 @@ def test_write_lp(tmp_path):
     assert "Maximize" in text
     assert "Subject To" in text
     assert "Binaries" in text or "Binary" in text
-    assert "y_C" in text and "pi_L1_T1" in text
+    # columns are named by role and rows by family, never by bid id
+    assert " y_0\n y_1\n" in text and "pi_0" in text and "y_C" not in text
+    assert " objective_equality_0: " in text and " dual_y_1: " in text
     instances = {
         "toy": make_toy(), "mic": make_mic(1000.0),
         "seed5": generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2)),
@@ -356,7 +366,7 @@ def _digest_instances():
 
 
 def _model_digest(model):
-    """sha256 over the model's matrix, row bounds, columns, objective and names."""
+    """sha256 over the model's matrix, row bounds, columns, objective and roles."""
     h = hashlib.sha256()
     arrays = (*model.constraint_csc(), *model.row_bounds(), model.lb, model.ub,
               model.integrality, model.objective)
@@ -364,8 +374,6 @@ def _model_digest(model):
         a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
-    for names in (model.var_names, model.row_names):
-        h.update(("\n".join(names) + "\0").encode())
     h.update(repr((model.form, model.objective_sense, sorted(model.roles.items()))).encode())
     return h.hexdigest()
 
@@ -382,8 +390,9 @@ def _assembled_digests():
 
 
 def test_assembled_models_match_the_recorded_digests():
-    # recorded from the row-by-row builder at commit 5664576; the block
-    # builder must reproduce every array, dtype and name bit for bit
+    # recorded from the row-by-row builder at commit 5664576 and, without
+    # the names, re-recorded from the block builder at commit 679d838; the
+    # builder must reproduce every array, dtype and role bit for bit
     with open(_DIGESTS) as fh:
         want = json.load(fh)
     assert _assembled_digests() == want

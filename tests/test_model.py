@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from damclear import cli, engine, fileio, milp, model, oracle
 from damclear.model import (
+    AtcLine,
     BlockBid,
-    ClearingSolution,
     HourlyBid,
     Instance,
     InstanceIndex,
@@ -11,15 +12,12 @@ from damclear.model import (
     MicBid,
     MicSuborder,
     Network,
-    block_surplus_terms,
     single_node_network,
-    total_block_opportunity_cost,
-    traded_volume,
     validate_instance,
-    welfare,
 )
+from damclear.verify import opportunity_cost_summary
 
-from conftest import make_mic, make_toy, solution_for
+from conftest import DATA_DIR, make_mic, make_toy, solution_for
 
 
 def test_block_total_power():
@@ -32,78 +30,71 @@ def test_validate_toy_passes():
 
 
 def test_validate_duplicate_hourly_id():
-    inst = Instance(
-        hourly_bids=(
-            HourlyBid("A", "L1", "T1", 1.0, 10.0),
-            HourlyBid("A", "L1", "T1", 2.0, 20.0),
-        ),
-        block_bids=(), mic_bids=(),
-        network=single_node_network(), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="duplicate hourly"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(
+                HourlyBid("A", "L1", "T1", 1.0, 10.0),
+                HourlyBid("A", "L1", "T1", 2.0, 20.0),
+            ),
+            block_bids=(), mic_bids=(),
+            network=single_node_network(), price_cap=100.0,
+        )
 
 
 def test_validate_unknown_location():
-    inst = Instance(
-        hourly_bids=(HourlyBid("A", "NOPE", "T1", 1.0, 10.0),),
-        block_bids=(), mic_bids=(),
-        network=single_node_network(), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="'A'.*location"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(HourlyBid("A", "NOPE", "T1", 1.0, 10.0),),
+            block_bids=(), mic_bids=(),
+            network=single_node_network(), price_cap=100.0,
+        )
 
 
 def test_validate_mixed_sign_block():
-    inst = Instance(
-        hourly_bids=(),
-        block_bids=(BlockBid("J", "L1", {"T1": -5.0, "T2": 5.0}, 1.0),),
-        mic_bids=(),
-        network=single_node_network("L1", ("T1", "T2")), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="'J'.*mixed-sign"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(),
+            block_bids=(BlockBid("J", "L1", {"T1": -5.0, "T2": 5.0}, 1.0),),
+            mic_bids=(),
+            network=single_node_network("L1", ("T1", "T2")), price_cap=100.0,
+        )
 
 
 def test_validate_all_zero_block():
-    inst = Instance(
-        hourly_bids=(),
-        block_bids=(BlockBid("J", "L1", {"T1": 0.0}, 1.0),),
-        mic_bids=(),
-        network=single_node_network(), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="all-zero"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(),
+            block_bids=(BlockBid("J", "L1", {"T1": 0.0}, 1.0),),
+            mic_bids=(),
+            network=single_node_network(), price_cap=100.0,
+        )
 
 
 def test_validate_buy_suborder():
-    inst = Instance(
-        hourly_bids=(), block_bids=(),
-        mic_bids=(MicBid("G", 1.0, 1.0, (MicSuborder("L1", "T1", 5.0, 10.0),)),),
-        network=single_node_network(), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="'G'.*negative"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(), block_bids=(),
+            mic_bids=(MicBid("G", 1.0, 1.0, (MicSuborder("L1", "T1", 5.0, 10.0),)),),
+            network=single_node_network(), price_cap=100.0,
+        )
 
 
 def test_validate_negative_fixed_cost():
-    inst = Instance(
-        hourly_bids=(), block_bids=(),
-        mic_bids=(MicBid("G", -1.0, 1.0, (MicSuborder("L1", "T1", -5.0, 10.0),)),),
-        network=single_node_network(), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="fixed_cost"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(), block_bids=(),
+            mic_bids=(MicBid("G", -1.0, 1.0, (MicSuborder("L1", "T1", -5.0, 10.0),)),),
+            network=single_node_network(), price_cap=100.0,
+        )
 
 
 def test_validate_price_outside_cap():
-    inst = Instance(
-        hourly_bids=(HourlyBid("A", "L1", "T1", 1.0, 101.0),),
-        block_bids=(), mic_bids=(),
-        network=single_node_network(), price_cap=100.0,
-    )
     with pytest.raises(InvalidInstanceError, match="outside"):
-        validate_instance(inst)
+        Instance(
+            hourly_bids=(HourlyBid("A", "L1", "T1", 1.0, 101.0),),
+            block_bids=(), mic_bids=(),
+            network=single_node_network(), price_cap=100.0,
+        )
 
 
 def test_validate_network_shape_mismatch():
@@ -112,9 +103,8 @@ def test_validate_network_shape_mismatch():
         injection_coeffs=np.zeros((1, 1, 1)),
         constraint_rows=np.zeros((0, 2)), capacities=np.zeros(0),
     )
-    inst = Instance((), (), (), net, 100.0)
     with pytest.raises(InvalidInstanceError, match="injection_coeffs"):
-        validate_instance(inst)
+        Instance((), (), (), net, 100.0)
 
 
 def test_network_equality_and_immutability():
@@ -123,6 +113,55 @@ def test_network_equality_and_immutability():
     assert n1 == n2
     with pytest.raises(ValueError):
         n1.capacities[...] = 1.0
+
+
+def test_bid_mappings_are_read_only():
+    # a validated instance must stay valid: nothing inside it can be reassigned
+    block = make_toy().block_bids[0]
+    with pytest.raises(TypeError):
+        block.powers["T1"] = 5.0
+    line = AtcLine("A", "B", {"T1": 10.0})
+    with pytest.raises(TypeError):
+        line.capacities["T1"] = -1.0
+    # the mapping given is copied, and read-only copies compare like dicts
+    powers = {"T1": -5.0}
+    bid = BlockBid("J", "L1", powers, 1.0)
+    powers["T1"] = 5.0
+    assert bid.powers == {"T1": -5.0} == BlockBid("J", "L1", {"T1": -5.0}, 1.0).powers
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Instances passed to validate_instance, counted at every module that
+    binds the name, so a check made anywhere in the package is seen."""
+    calls = []
+    real = model.validate_instance
+
+    def spy(instance):
+        calls.append(instance)
+        real(instance)
+
+    for mod in (model, fileio, milp, oracle, engine, cli):
+        if hasattr(mod, "validate_instance"):
+            monkeypatch.setattr(mod, "validate_instance", spy)
+    return calls
+
+
+def test_the_cli_validates_an_instance_once(validations, tmp_path, capsys):
+    toy = f"{DATA_DIR}/toy.json"
+    assert cli.main(["clear", toy, "--out", str(tmp_path / "toy")]) == 0
+    assert len(validations) == 1
+    assert cli.main(["oracle", toy, "--out", str(tmp_path / "oracle.json")]) == 0
+    assert len(validations) == 2
+
+
+def test_a_built_instance_is_not_validated_again(validations):
+    toy = make_toy()
+    assert len(validations) == 1
+    engine.clear(toy)
+    milp.build_model(toy, "pcr")
+    oracle.enumerate_selections(toy)
+    assert len(validations) == 1
 
 
 def test_index_layout():
@@ -147,48 +186,44 @@ def test_welfare_and_volume_on_toy_dispatch():
     toy = make_toy()
     # selection {C}: A takes the 10 MW block C sells, at 10/11 of its bid
     sol = solution_for(toy, [10.0 / 11.0, 0.0], [], [1.0, 0.0], [], [[50.0]])
-    assert welfare(toy, sol) == pytest.approx(450.0, abs=1e-12)
-    assert traded_volume(toy, sol) == pytest.approx(10.0, abs=1e-12)
+    idx = InstanceIndex(toy)
+    assert idx.welfare_value(sol.x, sol.x_mic, sol.y) == pytest.approx(450.0, abs=1e-12)
+    assert idx.buy_volume(sol.x, sol.x_mic, sol.y) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_block_surplus_terms_rejected_opportunity_cost():
     toy = make_toy()
     sol = solution_for(toy, [10.0 / 11.0, 0.0], [], [1.0, 0.0], [], [[50.0]])
-    terms = block_surplus_terms(toy, sol, "D")
-    # sigma_D = -20 * (10 - 50) = 800, rejected: all of it is missed
-    assert terms.surplus_if_accepted == pytest.approx(800.0)
-    assert terms.opportunity_cost == pytest.approx(800.0)
-    assert terms.loss == 0.0
-    terms_c = block_surplus_terms(toy, sol, "C")
-    assert terms_c.surplus_if_accepted == pytest.approx(450.0)
-    assert terms_c.opportunity_cost == 0.0
-    assert terms_c.loss == 0.0
+    # sigma_D = -20 * (10 - 50) = 800, rejected: all of it is missed;
+    # sigma_C = 450, accepted: no opportunity cost and no loss
+    assert list(InstanceIndex(toy).block_surplus(sol.prices)) == pytest.approx([450.0, 800.0])
+    summary = opportunity_cost_summary(toy, sol)
+    assert summary["per_block_opportunity_cost"] == pytest.approx({"C": 0.0, "D": 800.0})
+    assert summary["per_block_loss"] == {"C": 0.0, "D": 0.0}
 
 
 def test_block_surplus_terms_accepted_loss():
     toy = make_toy()
     # force D accepted at price 5: sigma_D = -20*(10-5) = -100, a loss
     sol = solution_for(toy, [0.0, 0.0], [], [0.0, 1.0], [], [[5.0]])
-    terms = block_surplus_terms(toy, sol, "D")
-    assert terms.surplus_if_accepted == pytest.approx(-100.0)
-    assert terms.opportunity_cost == 0.0
-    assert terms.loss == pytest.approx(100.0)
-
-
-def test_block_surplus_terms_unknown_id():
-    toy = make_toy()
-    sol = solution_for(toy, [0.0, 0.0], [], [0.0, 0.0], [], [[0.0]])
-    with pytest.raises(KeyError):
-        block_surplus_terms(toy, sol, "NOPE")
+    assert InstanceIndex(toy).block_surplus(sol.prices)[1] == pytest.approx(-100.0)
+    summary = opportunity_cost_summary(toy, sol)
+    assert summary["per_block_opportunity_cost"]["D"] == 0.0
+    assert summary["per_block_loss"]["D"] == pytest.approx(100.0)
 
 
 def test_total_block_opportunity_cost():
     toy = make_toy()
+
+    def total(price, y):
+        sol = solution_for(toy, [0.0, 0.0], [], y, [], [[price]])
+        return opportunity_cost_summary(toy, sol)["total_opportunity_cost"]
+
     # all rejected at price 50: sigma_C = 450, sigma_D = 800
-    assert total_block_opportunity_cost(toy, np.array([[50.0]]), np.zeros(2)) == pytest.approx(1250.0)
-    assert total_block_opportunity_cost(toy, np.array([[50.0]]), np.array([1.0, 0.0])) == pytest.approx(800.0)
+    assert total(50.0, [0.0, 0.0]) == pytest.approx(1250.0)
+    assert total(50.0, [1.0, 0.0]) == pytest.approx(800.0)
     # at price 2 both sell blocks would lose; negative surpluses never count
-    assert total_block_opportunity_cost(toy, np.array([[2.0]]), np.zeros(2)) == 0.0
+    assert total(2.0, [0.0, 0.0]) == 0.0
 
 
 def test_mic_income_and_sold_volume():
@@ -217,12 +252,10 @@ def test_seeded_random_instances_validate():
             for k in range(n)
         )
         inst = Instance(bids, (), (), single_node_network(), 100.0)
-        validate_instance(inst)
         idx = InstanceIndex(inst)
         assert idx.n_hourly == n
         x = rng.uniform(0, 1, n)
-        sol = solution_for(inst, x, [], [], [], [[0.0]])
-        # welfare at zero prices equals limit-weighted dispatch
-        assert welfare(inst, sol) == pytest.approx(
+        # welfare equals the limit-weighted dispatch
+        assert idx.welfare_value(x, np.zeros(0), np.zeros(0)) == pytest.approx(
             float(np.sum([b.power * b.limit_price * x[k] for k, b in enumerate(bids)]))
         )

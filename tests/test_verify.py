@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +67,25 @@ def test_perturbations_flag_exact_family_sets():
         rep = verify_equilibrium(instance, solution, rules=rules)
         got = frozenset(rep.failing_families())
         assert got == expected, f"{name}: expected {sorted(expected)}, got {sorted(got)}"
+
+
+@pytest.mark.parametrize("field, family", [
+    ("prices", "price-range"), ("x", "primal"), ("s_hourly", "dual"),
+    ("s_block", "dual"), ("y", "primal"), ("u", "primal"),
+])
+def test_a_nan_fails_the_family_that_reads_it(field, family):
+    # NaN compares false against every tolerance; it must count as a violation
+    inst = make_mic(1000.0) if field == "u" else make_toy()
+    sol = clear(inst, ClearingRequest())
+    values = np.array(getattr(sol, field), dtype=float)
+    values.flat[0] = np.nan
+    rep = verify_equilibrium(inst, dataclasses.replace(sol, **{field: values}))
+    assert not rep.overall_pass
+    assert family in rep.failing_families()
+    doc = json.loads(json.dumps(rep.as_dict(), indent=2))
+    fam = doc["families"][family]
+    assert fam["passed"] is False and math.isinf(fam["max_residual"])
+    assert any(math.isinf(v["residual"]) for v in fam["violations"])
 
 
 def test_mic_income_on_cleared_instance():
