@@ -11,6 +11,7 @@ parse -> serialize for files this module produced.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -611,6 +612,19 @@ def read_solution(path, instance: Instance) -> ClearingSolution:
     )
 
 
+def _strict(value):
+    """value with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
 def write_report(report, path) -> None:
+    """The report as standard JSON: a non-finite residual is written as the
+    string "inf" or "nan", which a strict parser accepts."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.as_dict(), indent=2) + "\n")
+        fh.write(json.dumps(_strict(report.as_dict()), indent=2, allow_nan=False) + "\n")

@@ -7,21 +7,27 @@ PCR-style markets, and the original nonlinear minimum-income condition.
 Deliberately model-free: only Instance and ClearingSolution are consulted,
 never the MILP, so builder bugs cannot hide from it.
 
-Every residual is scaled by (1 + magnitude of the terms entering the
-condition); tolerances below refer to these scaled residuals. A NaN
+Each condition is evaluated over all its elements at once, as one array of
+residuals. Every residual is scaled by (1 + magnitude of the terms entering
+the condition); tolerances below refer to these scaled residuals. A NaN
 residual counts as infinite, so a non-finite value fails its family.
-Violations are data, not exceptions.
+Violations are data, not exceptions: a family lists them condition by
+condition, in element order within a condition, and keeps the first 200.
+A solution array whose shape is not the instance's is an error
+(ValueError), as is an unknown rule set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .model import ClearingSolution, Instance, InstanceIndex
+
+MAX_VIOLATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,12 @@ class Tolerances:
     pcr_no_loss: float = 1e-6
     mic_income: float = 1e-5
 
+    def __post_init__(self):
+        for f in fields(self):
+            # the negated comparison also rejects NaN
+            if not getattr(self, f.name) >= 0:
+                raise ValueError(f"tolerance {f.name} must be >= 0")
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -43,6 +55,10 @@ class Violation:
 
 @dataclass
 class FamilyResult:
+    """The checked conditions of one family: the largest scaled residual,
+    how many residuals were checked, and the first MAX_VIOLATIONS
+    residuals above the tolerance."""
+
     family: str
     tolerance: float
     max_residual: float = 0.0
@@ -54,16 +70,27 @@ class FamilyResult:
     def passed(self) -> bool:
         return (not self.applicable) or self.max_residual <= self.tolerance
 
-    def record(self, condition: str, element: str, residual: float) -> None:
-        self.n_checked += 1
-        residual = float(residual)
-        if math.isnan(residual):
+    def check(self, condition: Union[str, Callable[[int], str]], residuals: np.ndarray,
+              element: Callable[[int], str]) -> None:
+        """Record one condition: residuals[k] belongs to the element named
+        element(k). condition is the condition's name, or a function of k
+        where the name depends on the element. Names are built only for
+        violations."""
+        self.n_checked += residuals.size
+        if not residuals.size:
+            return
+        top = float(residuals.max())
+        if math.isnan(top):
             # NaN compares false against every bound and would pass unseen
-            residual = math.inf
-        if residual > self.max_residual:
-            self.max_residual = residual
-        if residual > self.tolerance and len(self.violations) < 200:
-            self.violations.append(Violation(condition, element, residual))
+            residuals = np.where(np.isnan(residuals), math.inf, residuals)
+            top = math.inf
+        self.max_residual = max(self.max_residual, top)
+        if top <= self.tolerance:
+            return
+        room = MAX_VIOLATIONS - len(self.violations)
+        for k in np.flatnonzero(residuals > self.tolerance)[:room]:
+            name = condition if isinstance(condition, str) else condition(k)
+            self.violations.append(Violation(name, element(k), float(residuals[k])))
 
     def as_dict(self) -> dict:
         return {
@@ -104,8 +131,26 @@ class VerificationReport:
         }
 
 
-def _sc(residual: float, scale: float) -> float:
-    return abs(residual) / (1.0 + abs(scale))
+def _scaled(residual, scale):
+    return np.abs(residual) / (1.0 + np.abs(scale))
+
+
+def _solution_arrays(idx: InstanceIndex, solution: ClearingSolution) -> dict:
+    """Every array of the solution as floats, keyed and ordered by field.
+
+    Raises ValueError naming the first field whose shape is not the
+    instance's, so a missing or extra entry is never read past or ignored.
+    """
+    h, s, b, c = (idx.n_hourly,), (idx.n_sub,), (idx.n_block,), (idx.n_mic,)
+    want = dict(x=h, x_mic=s, y=b, u=c, net_positions=(idx.n_basis,), prices=(idx.L, idx.T),
+                v=(idx.n_net_rows,), s_hourly=h, s_block=b, s_mic=c, s_mic_sub=s,
+                d_accept=b, d_reject=b, du_reject=c)
+    arrays = {}
+    for name, shape in want.items():
+        arrays[name] = np.asarray(getattr(solution, name), dtype=float)
+        if arrays[name].shape != shape:
+            raise ValueError(f"solution.{name} has shape {arrays[name].shape}, expected {shape}")
+    return arrays
 
 
 def verify_equilibrium(
@@ -120,33 +165,24 @@ def verify_equilibrium(
     (paradoxical acceptance is legal there and compensated through
     d_accept). All other families are rule-independent.
     """
+    if rules not in ("pcr", "umfs"):
+        raise ValueError(f"unknown rules {rules!r}")
     tol = tolerances or Tolerances()
     idx = InstanceIndex(instance)
-    sol = solution
-    cap = instance.price_cap
-    pi = idx.prices_flat(sol.prices)
-    x = np.asarray(sol.x, dtype=float)
-    xm = np.asarray(sol.x_mic, dtype=float)
-    y = np.asarray(sol.y, dtype=float)
-    u = np.asarray(sol.u, dtype=float)
-    n = np.asarray(sol.net_positions, dtype=float)
-    v = np.asarray(sol.v, dtype=float)
-    si = np.asarray(sol.s_hourly, dtype=float)
-    sh = np.asarray(sol.s_mic_sub, dtype=float)
-    sj = np.asarray(sol.s_block, dtype=float)
-    sc = np.asarray(sol.s_mic, dtype=float)
-    da = np.asarray(sol.d_accept, dtype=float)
-    dr = np.asarray(sol.d_reject, dtype=float)
-    dur = np.asarray(sol.du_reject, dtype=float)
-
-    hourly_ids = [b.id for b in instance.hourly_bids]
-    block_ids = [b.id for b in instance.block_bids]
-    mic_ids = [c.id for c in instance.mic_bids]
-    sub_ids = [
-        f"{mic_ids[idx.sub_owner[h]]}/{h - idx.mic_slices[idx.sub_owner[h]].start}"
-        for h in range(idx.n_sub)
-    ]
-    lt_ids = [f"{l},{t}" for l in idx.locations for t in idx.periods]
+    x, xm, y, u, n, prices, v, si, sj, sc, sh, da, dr, dur = (
+        _solution_arrays(idx, solution).values()
+    )
+    pi = prices.reshape(idx.LT)
+    # element names, built only for violations
+    hourly = lambda i: instance.hourly_bids[i].id
+    block = lambda j: instance.block_bids[j].id
+    mic = lambda c: instance.mic_bids[c].id
+    sub = lambda h: f"{mic(idx.sub_owner[h])}/{h - idx.mic_slices[idx.sub_owner[h]].start}"
+    cell = lambda lt: f"{idx.locations[lt // idx.T]},{idx.periods[lt % idx.T]}"
+    row = lambda m: f"row{m}"
+    accepted = y > 0.5
+    active = u > 0.5
+    u_sub = u[idx.sub_owner]
 
     primal = FamilyResult("primal", tol.feasibility)
     dual = FamilyResult("dual", tol.feasibility)
@@ -157,128 +193,91 @@ def verify_equilibrium(
     micin = verify_mic_income(instance, solution, tol.mic_income)
 
     # primal feasibility
-    for i in range(idx.n_hourly):
-        primal.record("primal-eq1", hourly_ids[i], _sc(max(-x[i], x[i] - 1.0, 0.0), x[i]))
-    for j in range(idx.n_block):
-        primal.record("primal-eq2", block_ids[j], _sc(abs(y[j] - np.rint(y[j])), 1.0))
-    for h in range(idx.n_sub):
-        own = idx.sub_owner[h]
-        primal.record("primal-eq3", sub_ids[h], _sc(max(-xm[h], xm[h] - u[own], 0.0), xm[h]))
-    for c in range(idx.n_mic):
-        primal.record("primal-eq4", mic_ids[c], _sc(abs(u[c] - np.rint(u[c])), 1.0))
-    # balance per (l,t)
-    traded = np.zeros(idx.LT)
-    scale_bal = np.zeros(idx.LT)
-    np.add.at(traded, idx.hourly_lt, idx.hourly_power * x)
-    np.add.at(scale_bal, idx.hourly_lt, np.abs(idx.hourly_power * x))
-    if idx.n_sub:
-        np.add.at(traded, idx.sub_lt, idx.sub_power * xm)
-        np.add.at(scale_bal, idx.sub_lt, np.abs(idx.sub_power * xm))
-    for j in range(idx.n_block):
-        base = idx.block_loc[j] * idx.T
-        for t in range(idx.T):
-            p = idx.block_powers[j, t]
-            if p:
-                traded[base + t] += p * y[j]
-                scale_bal[base + t] += abs(p * y[j])
-    injected = idx.injection_flat.T @ n if idx.n_basis else np.zeros(idx.LT)
-    for lt in range(idx.LT):
-        primal.record(
-            "primal-eq5", lt_ids[lt],
-            _sc(traded[lt] - injected[lt], scale_bal[lt] + abs(injected[lt])),
-        )
+    primal.check("primal-eq1", _scaled(np.maximum(np.maximum(-x, x - 1.0), 0.0), x), hourly)
+    primal.check("primal-eq2", _scaled(y - np.rint(y), 1.0), block)
+    primal.check("primal-eq3", _scaled(np.maximum(np.maximum(-xm, xm - u_sub), 0.0), xm), sub)
+    primal.check("primal-eq4", _scaled(u - np.rint(u), 1.0), mic)
+    # balance per (l,t); bincount sums each cell's terms in the order given
+    bj, bt = np.nonzero(idx.block_powers)
+    cells = np.concatenate([idx.hourly_lt, idx.sub_lt, idx.block_loc[bj] * idx.T + bt])
+    flow = np.concatenate([
+        idx.hourly_power * x, idx.sub_power * xm, idx.block_powers[bj, bt] * y[bj]])
+    traded = np.bincount(cells, flow, minlength=idx.LT)
+    scale_bal = np.bincount(cells, np.abs(flow), minlength=idx.LT)
+    injected = idx.injection_flat.T @ n
+    primal.check(
+        "primal-eq5", _scaled(traded - injected, scale_bal + np.abs(injected)), cell
+    )
     # network limits
     a = instance.network.constraint_rows
     w = instance.network.capacities
-    flows = a @ n if idx.n_net_rows else np.zeros(0)
-    for m in range(idx.n_net_rows):
-        primal.record("primal-eq6", f"row{m}", _sc(max(flows[m] - w[m], 0.0), abs(w[m]) + abs(flows[m])))
+    flows = a @ n
+    primal.check("primal-eq6", _scaled(np.maximum(flows - w, 0.0), np.abs(w) + np.abs(flows)), row)
 
     # dual feasibility
-    h_slack = si + idx.hourly_power * (pi[idx.hourly_lt] - idx.hourly_limit)
-    for i in range(idx.n_hourly):
-        scale = abs(si[i]) + abs(idx.hourly_power[i]) * (abs(pi[idx.hourly_lt[i]]) + abs(idx.hourly_limit[i]))
-        dual.record("dual-eq1", hourly_ids[i], _sc(max(-h_slack[i], 0.0), scale))
-    m_slack = sh + idx.sub_power * (pi[idx.sub_lt] - idx.sub_limit) if idx.n_sub else np.zeros(0)
-    for h in range(idx.n_sub):
-        scale = abs(sh[h]) + abs(idx.sub_power[h]) * (abs(pi[idx.sub_lt[h]]) + abs(idx.sub_limit[h]))
-        dual.record("dual-eq2", sub_ids[h], _sc(max(-m_slack[h], 0.0), scale))
-    blk_gain = idx.block_surplus(sol.prices) if idx.n_block else np.zeros(0)
-    blk_slack = sj + dr - da - blk_gain if idx.n_block else np.zeros(0)
-    for j in range(idx.n_block):
-        scale = abs(sj[j]) + abs(dr[j]) + abs(da[j]) + abs(blk_gain[j])
-        cond = "dual-eq4" if y[j] > 0.5 else "dual-eq3"
-        dual.record(cond, block_ids[j], _sc(max(-blk_slack[j], 0.0), scale))
-    sub_sum = np.zeros(idx.n_mic)
-    if idx.n_sub:
-        np.add.at(sub_sum, idx.sub_owner, sh)
-    for c in range(idx.n_mic):
-        slack = sc[c] + dur[c] - sub_sum[c]
-        scale = abs(sc[c]) + abs(dur[c]) + abs(sub_sum[c])
-        cond = "dual-eq6" if u[c] > 0.5 else "dual-eq5"
-        dual.record(cond, mic_ids[c], _sc(max(-slack, 0.0), scale))
-    if idx.n_basis:
-        lhs = a.T @ v if idx.n_net_rows else np.zeros(idx.n_basis)
-        rhs = idx.injection_flat @ pi
-        for k in range(idx.n_basis):
-            dual.record("dual-eq7", f"k{k}", _sc(lhs[k] - rhs[k], abs(lhs[k]) + abs(rhs[k])))
+    pi_h = pi[idx.hourly_lt]
+    h_slack = si + idx.hourly_power * (pi_h - idx.hourly_limit)
+    h_scale = np.abs(si) + np.abs(idx.hourly_power) * (np.abs(pi_h) + np.abs(idx.hourly_limit))
+    dual.check("dual-eq1", _scaled(np.maximum(-h_slack, 0.0), h_scale), hourly)
+    pi_s = pi[idx.sub_lt]
+    m_slack = sh + idx.sub_power * (pi_s - idx.sub_limit)
+    m_scale = np.abs(sh) + np.abs(idx.sub_power) * (np.abs(pi_s) + np.abs(idx.sub_limit))
+    dual.check("dual-eq2", _scaled(np.maximum(-m_slack, 0.0), m_scale), sub)
+    blk_gain = idx.block_surplus(prices)
+    blk_slack = sj + dr - da - blk_gain
+    blk_scale = np.abs(sj) + np.abs(dr) + np.abs(da) + np.abs(blk_gain)
+    dual.check(
+        lambda j: "dual-eq4" if accepted[j] else "dual-eq3",
+        _scaled(np.maximum(-blk_slack, 0.0), blk_scale), block,
+    )
+    sub_sum = np.bincount(idx.sub_owner, sh, minlength=idx.n_mic)
+    mic_slack = sc + dur - sub_sum
+    mic_scale = np.abs(sc) + np.abs(dur) + np.abs(sub_sum)
+    dual.check(
+        lambda c: "dual-eq6" if active[c] else "dual-eq5",
+        _scaled(np.maximum(-mic_slack, 0.0), mic_scale), mic,
+    )
+    lhs = a.T @ v
+    rhs = idx.injection_flat @ pi
+    dual.check("dual-eq7", _scaled(lhs - rhs, np.abs(lhs) + np.abs(rhs)), lambda k: f"k{k}")
     for name, arr, ids in (
-        ("s_hourly", si, hourly_ids), ("s_mic_sub", sh, sub_ids),
-        ("s_block", sj, block_ids), ("s_mic", sc, mic_ids),
-        ("v", v, [f"row{m}" for m in range(idx.n_net_rows)]),
-        ("d_accept", da, block_ids), ("d_reject", dr, block_ids),
-        ("du_reject", dur, mic_ids),
+        ("s_hourly", si, hourly), ("s_mic_sub", sh, sub),
+        ("s_block", sj, block), ("s_mic", sc, mic), ("v", v, row),
+        ("d_accept", da, block), ("d_reject", dr, block), ("du_reject", dur, mic),
     ):
-        for k in range(len(arr)):
-            dual.record("dual-eq8", f"{name}[{ids[k]}]", _sc(max(-arr[k], 0.0), arr[k]))
+        # the namer is called inside check, before name and ids move on
+        dual.check("dual-eq8", _scaled(np.maximum(-arr, 0.0), arr), lambda k: f"{name}[{ids(k)}]")
 
     # complementarity products
-    for i in range(idx.n_hourly):
-        cc.record("cc-eq1", hourly_ids[i], _sc(si[i] * (1.0 - x[i]), si[i] + abs(1.0 - x[i])))
-    for j in range(idx.n_block):
-        cc.record("cc-eq2", block_ids[j], _sc(sj[j] * (1.0 - y[j]), sj[j] + abs(1.0 - y[j])))
-    for h in range(idx.n_sub):
-        own = idx.sub_owner[h]
-        cc.record("cc-eq3", sub_ids[h], _sc(sh[h] * (u[own] - xm[h]), sh[h] + abs(u[own] - xm[h])))
-    for c in range(idx.n_mic):
-        cc.record("cc-eq4", mic_ids[c], _sc(sc[c] * (1.0 - u[c]), sc[c] + abs(1.0 - u[c])))
-    for m in range(idx.n_net_rows):
-        slack = w[m] - flows[m]
-        cc.record("cc-eq5", f"row{m}", _sc(v[m] * slack, v[m] + abs(slack)))
-    for c in range(idx.n_mic):
-        cc.record("cc-eq6", mic_ids[c], _sc(u[c] * dur[c], u[c] + dur[c]))
-        cc.record("cc-eq7", mic_ids[c], 0.0)  # du^a is identically zero
-    for j in range(idx.n_block):
-        cc.record("cc-eq8", block_ids[j], _sc(y[j] * dr[j], y[j] + dr[j]))
-        cc.record("cc-eq9", block_ids[j], _sc((1.0 - y[j]) * da[j], abs(1.0 - y[j]) + da[j]))
-    for i in range(idx.n_hourly):
-        scale = abs(h_slack[i]) + x[i]
-        cc.record("cc-eq10", hourly_ids[i], _sc(x[i] * h_slack[i], scale))
-    for h in range(idx.n_sub):
-        cc.record("cc-eq11", sub_ids[h], _sc(xm[h] * m_slack[h], abs(m_slack[h]) + xm[h]))
-    for j in range(idx.n_block):
-        if y[j] > 0.5:
-            # accepted row tightness: s_j - d^a + sum P(pi - limit) pinned to 0
-            slack_a = sj[j] - da[j] - blk_gain[j]
-            cc.record("cc-eq13", block_ids[j], _sc(y[j] * slack_a, abs(slack_a) + abs(blk_gain[j])))
-            cc.record("cc-eq12", block_ids[j], 0.0)
-        else:
-            slack_r = sj[j] + dr[j] - blk_gain[j]
-            cc.record("cc-eq12", block_ids[j], _sc(y[j] * slack_r, abs(slack_r) + y[j]))
-            cc.record("cc-eq13", block_ids[j], 0.0)
-    for c in range(idx.n_mic):
-        if u[c] > 0.5:
-            slack_a = sc[c] - sub_sum[c]
-            cc.record("cc-eq15", mic_ids[c], _sc(u[c] * slack_a, abs(slack_a) + sub_sum[c]))
-            cc.record("cc-eq14", mic_ids[c], 0.0)
-        else:
-            slack_r = sc[c] + dur[c] - sub_sum[c]
-            cc.record("cc-eq14", mic_ids[c], _sc(u[c] * slack_r, abs(slack_r) + u[c]))
-            cc.record("cc-eq15", mic_ids[c], 0.0)
+    cc.check("cc-eq1", _scaled(si * (1.0 - x), si + np.abs(1.0 - x)), hourly)
+    cc.check("cc-eq2", _scaled(sj * (1.0 - y), sj + np.abs(1.0 - y)), block)
+    cc.check("cc-eq3", _scaled(sh * (u_sub - xm), sh + np.abs(u_sub - xm)), sub)
+    cc.check("cc-eq4", _scaled(sc * (1.0 - u), sc + np.abs(1.0 - u)), mic)
+    slack = w - flows
+    cc.check("cc-eq5", _scaled(v * slack, v + np.abs(slack)), row)
+    cc.check("cc-eq6", _scaled(u * dur, u + dur), mic)
+    cc.check("cc-eq7", np.zeros(idx.n_mic), mic)  # du^a is identically zero
+    cc.check("cc-eq8", _scaled(y * dr, y + dr), block)
+    cc.check("cc-eq9", _scaled((1.0 - y) * da, np.abs(1.0 - y) + da), block)
+    cc.check("cc-eq10", _scaled(x * h_slack, np.abs(h_slack) + x), hourly)
+    cc.check("cc-eq11", _scaled(xm * m_slack, np.abs(m_slack) + xm), sub)
+    # each block is checked by the product of its branch; the other reads 0
+    slack_r = sj + dr - blk_gain
+    slack_a = sj - da - blk_gain  # accepted row: s_j - d^a + sum P(pi - limit)
+    cc.check("cc-eq12", np.where(
+        accepted, 0.0, _scaled(y * slack_r, np.abs(slack_r) + y)), block)
+    cc.check("cc-eq13", np.where(
+        accepted, _scaled(y * slack_a, np.abs(slack_a) + np.abs(blk_gain)), 0.0), block)
+    slack_r = sc + dur - sub_sum
+    slack_a = sc - sub_sum
+    cc.check("cc-eq14", np.where(
+        active, 0.0, _scaled(u * slack_r, np.abs(slack_r) + u)), mic)
+    cc.check("cc-eq15", np.where(
+        active, _scaled(u * slack_a, np.abs(slack_a) + sub_sum), 0.0), mic)
 
     # price range
-    for lt in range(idx.LT):
-        price.record("price-range", lt_ids[lt], _sc(max(abs(pi[lt]) - cap, 0.0), cap))
+    cap = instance.price_cap
+    price.check("price-range", _scaled(np.maximum(np.abs(pi) - cap, 0.0), cap), cell)
 
     # objective equality (the equilibrium glue: welfare must equal the dual
     # objective exactly, which is what pins every feasible point to the
@@ -287,17 +286,15 @@ def verify_equilibrium(
     D = float(si.sum() + sj.sum() + sc.sum() - da.sum())
     if idx.n_net_rows:
         D += float(w @ v)
-    objeq.record("objective-equality", "model", _sc(W - D, W))
+    objeq.check("objective-equality", _scaled(np.array([W - D]), W), lambda k: "model")
 
     # pcr rules: no paradoxical acceptance, no accepted-block loss
     if rules == "pcr":
-        for j in range(idx.n_block):
-            pcrnl.record("pcr-d-accept", block_ids[j], _sc(da[j], da[j]))
-            if y[j] > 0.5:
-                pcrnl.record(
-                    "pcr-block-loss", block_ids[j],
-                    _sc(max(-blk_gain[j], 0.0), abs(blk_gain[j])),
-                )
+        pcrnl.check("pcr-d-accept", _scaled(da, da), block)
+        taken = np.flatnonzero(accepted)
+        gain = blk_gain[taken]
+        pcrnl.check("pcr-block-loss", _scaled(np.maximum(-gain, 0.0), gain),
+                    lambda k: block(taken[k]))
 
     families = {
         f.family: f for f in (primal, dual, cc, price, objeq, pcrnl, micin)
@@ -317,26 +314,23 @@ def verify_mic_income(instance: Instance, solution: ClearingSolution, tol: float
     """
     fam = FamilyResult("mic-income", tol)
     idx = InstanceIndex(instance)
-    if idx.n_mic == 0:
-        return fam
-    income = idx.mic_income(solution.x_mic, solution.prices)
-    sold = idx.mic_sold_volume(solution.x_mic)
-    pi = idx.prices_flat(solution.prices)
-    for c in range(idx.n_mic):
-        if solution.u[c] <= 0.5:
-            continue
-        cid = instance.mic_bids[c].id
-        F, V = idx.mic_fixed[c], idx.mic_variable[c]
-        required = F + V * sold[c]
-        fam.record("mic-income", cid, max(required - income[c], 0.0) / (1.0 + F))
-        sl = idx.mic_slices[c]
-        hs = slice(sl.start, sl.stop)
-        traded_value = float(
-            (idx.sub_power[hs] * idx.sub_limit[hs]) @ np.asarray(solution.x_mic)[hs]
-        )
-        lhs = float((idx.sub_power[hs] * np.asarray(solution.x_mic)[hs]) @ pi[idx.sub_lt[hs]])
-        ident = lhs - (traded_value - float(solution.s_mic[c]))
-        fam.record("mic-identity", cid, abs(ident) / (1.0 + F))
+    arrays = _solution_arrays(idx, solution)
+    xm, prices = arrays["x_mic"], arrays["prices"]
+    # a NaN u is not rejected, so its bid is checked
+    on = np.flatnonzero(~(arrays["u"] <= 0.5))
+    name = lambda k: instance.mic_bids[on[k]].id
+    F = idx.mic_fixed[on]
+    required = F + idx.mic_variable[on] * idx.mic_sold_volume(xm)[on]
+    income = idx.mic_income(xm, prices)[on]
+    fam.check("mic-income", np.maximum(required - income, 0.0) / (1.0 + F), name)
+    pi = prices.reshape(idx.LT)
+    ident = np.empty(on.size)
+    for k, c in enumerate(on):
+        hs = idx.mic_slices[c]
+        traded_value = (idx.sub_power[hs] * idx.sub_limit[hs]) @ xm[hs]
+        lhs = (idx.sub_power[hs] * xm[hs]) @ pi[idx.sub_lt[hs]]
+        ident[k] = lhs - (traded_value - arrays["s_mic"][c])
+    fam.check("mic-identity", np.abs(ident) / (1.0 + F), name)
     return fam
 
 
@@ -347,12 +341,14 @@ def opportunity_cost_summary(instance: Instance, solution: ClearingSolution) -> 
     du_reject slack must cover; 'mic_bound_ok' reports that comparison.
     """
     idx = InstanceIndex(instance)
-    sigma = idx.block_surplus(solution.prices) if idx.n_block else np.zeros(0)
+    arrays = _solution_arrays(idx, solution)
+    y, u, prices = arrays["y"], arrays["u"], arrays["prices"]
+    sigma = idx.block_surplus(prices)
     per_block_oc = {}
     per_block_loss = {}
     total = 0.0
     for j, b in enumerate(instance.block_bids):
-        if solution.y[j] > 0.5:
+        if y[j] > 0.5:
             per_block_oc[b.id] = 0.0
             per_block_loss[b.id] = max(0.0, -float(sigma[j]))
         else:
@@ -363,14 +359,14 @@ def opportunity_cost_summary(instance: Instance, solution: ClearingSolution) -> 
     missed = {}
     bound_ok = {}
     if idx.n_mic:
-        gain = np.clip(idx.sub_surplus(solution.prices), 0.0, None)
+        gain = np.clip(idx.sub_surplus(prices), 0.0, None)
         for c, mic in enumerate(instance.mic_bids):
-            if solution.u[c] > 0.5:
+            if u[c] > 0.5:
                 continue
             sl = idx.mic_slices[c]
             tot = float(gain[sl.start: sl.stop].sum())
             missed[mic.id] = tot
-            bound_ok[mic.id] = tot <= float(solution.du_reject[c]) + 1e-6 * (1.0 + tot)
+            bound_ok[mic.id] = tot <= float(arrays["du_reject"][c]) + 1e-6 * (1.0 + tot)
     return {
         "per_block_opportunity_cost": per_block_oc,
         "per_block_loss": per_block_loss,

@@ -91,10 +91,15 @@ def test_verify_fails_a_nan_price(toy_tmp, tmp_path, capsys):
     assert rc == 2
     assert captured.out.startswith("verify=FAIL")
     assert "price-range" in captured.err.split("failing families:")[1]
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    # standard JSON: a strict parser reads the file, infinities are strings
     with open(rep) as fh:
-        report = json.load(fh)
+        report = json.load(fh, parse_constant=refuse)
     assert report["overall_pass"] is False
     assert report["families"]["price-range"]["passed"] is False
+    assert report["families"]["price-range"]["max_residual"] == "inf"
 
 
 def test_verify_writes_report(toy_tmp, tmp_path, capsys):

@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
 from damclear.engine import ClearingRequest, clear
+from damclear.fileio import GeneratorConfig, generate
+from damclear.model import ClearingSolution, InstanceIndex
 from damclear.verify import (
     Tolerances,
     opportunity_cost_summary,
@@ -14,9 +19,11 @@ from damclear.verify import (
 )
 
 from conftest import (
+    DATA_DIR,
     make_crossing_pair,
     make_mic,
     make_pab_chain,
+    make_pab_point,
     make_toy,
     perturbation_cases,
     solution_for,
@@ -170,3 +177,144 @@ def test_crossing_pair_price_band():
     sol = clear(inst, ClearingRequest())
     assert verify_equilibrium(inst, sol).overall_pass
     assert 20.0 - 1e-6 <= float(sol.prices[0, 0]) <= 30.0 + 1e-6
+
+
+_SHAPE_CASES = {
+    "toy": make_toy,
+    "mic": lambda: make_mic(1000.0),
+    "three_periods": lambda: generate(GeneratorConfig(seed=1, periods=("T1", "T2", "T3"))),
+}
+
+
+@pytest.mark.parametrize("case, field", [
+    ("toy", "u"), ("toy", "x_mic"), ("mic", "y"), ("mic", "u"), ("three_periods", "prices"),
+])
+def test_a_mis_sized_solution_array_is_an_error(case, field):
+    # an extra entry used to be ignored and a (T, L) price array reshaped
+    inst = _SHAPE_CASES[case]()
+    sol = clear(inst, ClearingRequest())
+    if field == "prices":
+        bad = np.asarray(sol.prices).T.copy()
+    else:
+        bad = np.append(getattr(sol, field), 0.0)
+    broken = dataclasses.replace(sol, **{field: bad})
+    want = f"solution.{field} has shape {bad.shape}, expected {np.shape(getattr(sol, field))}"
+    for check in (verify_equilibrium, verify_mic_income, opportunity_cost_summary):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            check(inst, broken)
+
+
+def test_unknown_rules_are_an_error():
+    toy = make_toy()
+    sol = clear(toy, ClearingRequest())
+    for rules in ("PCR", "", "pab"):
+        with pytest.raises(ValueError, match="unknown rules"):
+            verify_equilibrium(toy, sol, rules=rules)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1e-9, -math.inf])
+def test_tolerances_reject_nan_and_negative_values(value):
+    for name in ("feasibility", "complementarity", "objective_equality",
+                 "price_range", "pcr_no_loss", "mic_income"):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: value})
+    assert Tolerances(feasibility=0.0, mic_income=math.inf).feasibility == 0.0
+
+
+_REPORT_DIGESTS = os.path.join(DATA_DIR, "verifier_report_digests.json")
+_CONDITIONS = {
+    *(f"primal-eq{k}" for k in range(1, 7)), *(f"dual-eq{k}" for k in range(1, 9)),
+    *(f"cc-eq{k}" for k in range(1, 16) if k != 7),  # cc-eq7 is identically zero
+    "price-range", "objective-equality", "pcr-d-accept", "pcr-block-loss",
+    "mic-income", "mic-identity",
+}
+
+
+def _random_solution(instance, rng):
+    """A point drawn without the engine: integral, fractional and
+    out-of-range acceptances, signed slacks and some prices past the cap."""
+    idx = InstanceIndex(instance)
+
+    def acceptance(n):
+        a = rng.choice([0.0, 1.0], n)
+        mixed = rng.random(n) < 0.3
+        a[mixed] = rng.uniform(-0.2, 1.2, mixed.sum())
+        return a
+
+    def signed(n, top):
+        return np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.1 * top, top, n))
+
+    cap = instance.price_cap
+    prices = rng.uniform(0.0, 120.0, (idx.L, idx.T))
+    past = rng.random(prices.shape) < 0.1
+    prices[past] = rng.choice([-1.0, 1.0], past.sum()) * rng.uniform(cap, 1.2 * cap, past.sum())
+    return ClearingSolution(
+        x=acceptance(idx.n_hourly), x_mic=acceptance(idx.n_sub),
+        y=acceptance(idx.n_block), u=acceptance(idx.n_mic),
+        net_positions=rng.normal(0.0, 20.0, idx.n_basis), prices=prices,
+        v=signed(idx.n_net_rows, 50.0), s_hourly=signed(idx.n_hourly, 2000.0),
+        s_block=signed(idx.n_block, 2000.0), s_mic=signed(idx.n_mic, 2000.0),
+        s_mic_sub=signed(idx.n_sub, 2000.0), d_accept=signed(idx.n_block, 500.0),
+        d_reject=signed(idx.n_block, 500.0), du_reject=signed(idx.n_mic, 500.0),
+        welfare=0.0, traded_volume=0.0, total_opportunity_cost=0.0,
+    )
+
+
+def _digest_points():
+    """Seeded random points on sweep-family seeds 0-41 and the hand-built
+    conftest points; none comes from the engine, none holds a NaN."""
+    for seed in range(42):
+        inst = generate(GeneratorConfig(seed=seed, n_blocks=seed % 7, n_mic=seed % 3))
+        for draw in range(3):
+            yield f"sweep_{seed}/draw{draw}", inst, _random_solution(
+                inst, np.random.default_rng([seed, draw]))
+    for comp in (150.0, 0.0):
+        yield (f"pab_point_{comp:g}", *make_pab_point(comp))
+    toy, short, exact, deep = make_toy(), make_mic(1200.0), make_mic(1000.0), make_mic(11000.0)
+    yield "toy_cap_breach", toy, solution_for(
+        toy, x=[0.0, 0.0], x_mic=[], y=[0.0, 0.0], u=[], prices=[[600.0]],
+        d_reject=[5950.0, 11800.0])
+    yield "mic_shortfall", short, solution_for(
+        short, x=[1.0], x_mic=[1.0], y=[], u=[1.0], prices=[[30.0]], s_hourly=[7000.0])
+    yield "mic_identity_drift", exact, solution_for(
+        exact, x=[1.0], x_mic=[1.0], y=[], u=[1.0], prices=[[30.0]],
+        s_hourly=[7000.0], s_mic=[50.0])
+    yield "mic_du_underfund", deep, solution_for(
+        deep, x=[0.0], x_mic=[0.0], y=[], u=[0.0], prices=[[100.0]],
+        s_mic_sub=[7000.0], du_reject=[6000.0])
+    yield "mic_du_on_accepted", exact, solution_for(
+        exact, x=[1.0], x_mic=[1.0], y=[], u=[1.0], prices=[[30.0]],
+        s_hourly=[7000.0], du_reject=[5.0])
+
+
+def _canonical(report) -> str:
+    """Report JSON with each family's violations sorted by (condition, element)."""
+    doc = report.as_dict()
+    for fam in doc["families"].values():
+        fam["violations"].sort(key=lambda v: (v["condition"], v["element"]))
+    return json.dumps(doc, sort_keys=True)
+
+
+def _report_digests():
+    """sha256 of every canonical report, the conditions that fired and the
+    most violations any family listed."""
+    digests, fired, most = {}, set(), 0
+    for name, inst, sol in _digest_points():
+        for rules in ("pcr", "umfs"):
+            rep = verify_equilibrium(inst, sol, rules=rules)
+            digests[f"{name}/{rules}"] = hashlib.sha256(_canonical(rep).encode()).hexdigest()
+            for fam in rep.families.values():
+                fired.update(v.condition for v in fam.violations)
+                most = max(most, len(fam.violations))
+    return digests, fired, most
+
+
+def test_reports_on_points_off_the_engine_match_the_recorded_digests():
+    # recorded with the per-element verifier at commit b7edb48; the order of
+    # violations is not pinned, everything else in a report is
+    with open(_REPORT_DIGESTS) as fh:
+        want = json.load(fh)
+    digests, fired, most = _report_digests()
+    assert fired == _CONDITIONS
+    assert most < 200  # below the cap the set of violations is order-free
+    assert digests == want
