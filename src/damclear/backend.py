@@ -218,8 +218,10 @@ def _run_capturing_stdout(highs) -> int:
 
     HiGHS's MIP solver prints some messages (transformNewIntegerFeasibleSolution)
     with a raw printf that ignores output_flag. They are counted here instead
-    of landing in the caller's stdout. fd 1 is process-wide, so solves must
-    not run concurrently in threads of one process.
+    of landing in the caller's stdout. fd 1 is process-wide, so MIP solves,
+    the only ones run through here, must not run concurrently in threads
+    of one process. The oracle, which solves in several threads, runs LPs
+    only, on its own HiGHS objects, and never calls this.
     """
     with tempfile.TemporaryFile() as sink:
         _LIBC.fflush(None)

@@ -28,10 +28,23 @@ unreachable. The optimum per objective is then the best over admissible
 selections. This module intentionally builds its LPs directly on scipy's
 HiGHS bindings, in numpy, sharing no assembly code with the MILP builder
 it is meant to check.
+
+HiGHS releases the interpreter lock while it solves, so the selections
+are split over worker threads, one per usable CPU but no more than one
+per CHUNK selections (an enumeration of fewer than 2 * CHUNK selections
+runs in the calling thread alone). The face's arrays are built once;
+each extra worker solves on its own HiGHS object over them, and of w
+workers each takes every w-th selection mask. A selection's result
+lands in the slot of its mask, and no basis crosses selections, so
+records, witnesses and optima come out in mask order and are the same
+for any worker count.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +54,9 @@ from ._highs import core as _highspy
 from .model import ClearingSolution, Instance, InstanceIndex
 
 GUARD = 20
+# selections per worker thread, at least: a worker costs one more HiGHS
+# object and a thread start, which a few selections would not repay
+CHUNK = 8
 
 # the face sits on the objective-equality hyperplane and has no relative
 # interior; with presolve on, HiGHS called such a face infeasible although
@@ -188,10 +204,12 @@ class _Face:
         entries = {"eq": ([], [], []), "ub": ([], [], [])}
 
         def put(kind, rows, at, vals):
+            # rows and vals are scalars or arrays shaped like the columns at
             r, c, v = entries[kind]
-            r.append(np.broadcast_to(rows, np.shape(at)))
+            r.append(np.full(at.shape, rows) if np.isscalar(rows) else rows)
             c.append(at)
-            v.append(np.broadcast_to(vals, np.shape(at)).astype(float))
+            v.append(np.full(at.shape, vals, dtype=float) if np.isscalar(vals)
+                     else np.asarray(vals, dtype=float))
 
         # equality rows: balance (LT), basis-flow dual feasibility (K), pin
         ek, elt = np.nonzero(e)
@@ -267,6 +285,13 @@ class _Face:
         self.c_compensation = np.zeros(n)
         self.c_compensation[cols["dr"]] = 1.0
         self._highs = _face_highs(self.csc, self.b_ub, self.b_eq, self.lo, self.hi)
+
+    def twin(self) -> "_Face":
+        """The same face over its own HiGHS object, sharing every array, for
+        another thread to solve on."""
+        twin = copy.copy(self)
+        twin._highs = _face_highs(self.csc, self.b_ub, self.b_eq, self.lo, self.hi)
+        return twin
 
     def bounds(self, y, u):
         """Column bounds (lo, hi) of the face at the selection (y, u)."""
@@ -348,30 +373,63 @@ def _accepted(instance: Instance, y, u) -> tuple:
             tuple(c.id for c, on in zip(instance.mic_bids, u) if on))
 
 
+def _solve_share(face: _Face, masks: range, slots: list, failures: list) -> None:
+    """Solve the selections in masks, in order, on face: slots[mask] gets
+    (record, witness) for an admissible selection and stays None for the
+    others. The first error stops the share and is appended to failures
+    as (mask, error)."""
+    instance = face.idx.instance
+    nJ, nb = face.idx.n_block, face.idx.n_block + face.idx.n_mic
+    for mask in masks:
+        bits = ((mask >> np.arange(nb)) & 1).astype(float)
+        y, u = bits[:nJ], bits[nJ:]
+        try:
+            got = face.extremes(y, u)
+        except Exception as exc:  # raised by enumerate_selections once every worker has stopped
+            failures.append((mask, exc))
+            return
+        if got is not None:
+            welfare, vol, oc, witness = got
+            slots[mask] = SelectionRecord(*_accepted(instance, y, u), welfare, vol, oc), witness
+
+
 def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOracleResult:
     """Ground-truth optima for every objective under one rule set.
 
     Guard-limited to #blocks + #MIC <= GUARD (enumeration is exponential).
-    Records come in selection order, so results are deterministic.
+    Records come in selection order, whichever worker thread solved them,
+    so results are deterministic. A face LP that fails raises after every
+    worker has stopped; of several failed selections, the lowest mask is
+    raised, the one a single worker would have met first.
     """
     if rules not in ("pcr", "umfs"):
         raise ValueError(f"unknown rules {rules!r}")
-    nJ, nb = len(instance.block_bids), len(instance.block_bids) + len(instance.mic_bids)
+    nb = len(instance.block_bids) + len(instance.mic_bids)
     if nb > GUARD:
         raise OracleGuardError(f"{nb} binaries exceed the enumeration guard of {GUARD}")
     face = _Face(instance, rules)
 
-    records = []
-    witnesses = []
-    for mask in range(2 ** nb):
-        bits = ((mask >> np.arange(nb)) & 1).astype(float)
-        y, u = bits[:nJ], bits[nJ:]
-        got = face.extremes(y, u)
-        if got is None:
-            continue
-        welfare, vol, oc, witness = got
-        records.append(SelectionRecord(*_accepted(instance, y, u), welfare, vol, oc))
-        witnesses.append(witness)
+    n = 2 ** nb
+    workers = max(1, min(len(os.sched_getaffinity(0)), n // CHUNK))
+    slots = [None] * n
+    failures = []
+    threads = [
+        threading.Thread(target=_solve_share, args=(face.twin(), range(w, n, workers), slots, failures))
+        for w in range(1, workers)
+    ]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        _solve_share(face, range(0, n, workers), slots, failures)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    records = [slot[0] for slot in slots if slot is not None]
+    witnesses = [slot[1] for slot in slots if slot is not None]
     if not records:
         raise RuntimeError("no admissible selection; the all-rejected one must exist")
 
@@ -394,7 +452,7 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
         ),
     }
     return SelectionOracleResult(
-        rules=rules, n_selections=2 ** nb, records=tuple(records), optima=optima
+        rules=rules, n_selections=n, records=tuple(records), optima=optima
     )
 
 

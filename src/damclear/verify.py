@@ -11,6 +11,9 @@ Each condition is evaluated over all its elements at once, as one array of
 residuals. Every residual is scaled by (1 + magnitude of the terms entering
 the condition); tolerances below refer to these scaled residuals. A NaN
 residual counts as infinite, so a non-finite value fails its family.
+Residuals are computed with numpy's floating-point warnings off:
+an infinite entry gives inf - inf, 0 * inf and inf / inf terms, whose NaN
+residuals are reported, not raised, also where warnings are errors.
 Violations are data, not exceptions: a family lists them condition by
 condition, in element order within a condition, and keeps the first 200.
 A solution array whose shape is not the instance's is an error
@@ -153,6 +156,7 @@ def _solution_arrays(idx: InstanceIndex, solution: ClearingSolution) -> dict:
     return arrays
 
 
+@np.errstate(all="ignore")
 def verify_equilibrium(
     instance: Instance,
     solution: ClearingSolution,
@@ -302,6 +306,7 @@ def verify_equilibrium(
     return VerificationReport(families=families, welfare=W, dual_objective=D, rules=rules)
 
 
+@np.errstate(all="ignore")
 def verify_mic_income(instance: Instance, solution: ClearingSolution, tol: float = 1e-5) -> FamilyResult:
     """Check the nonlinear income condition at the solved point.
 

@@ -1,5 +1,8 @@
 import ast
 import json
+import re
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -265,13 +268,32 @@ def test_cold_started_face_lps_match_the_recorded_enumeration(seed, admissible, 
         assert abs(res.optimum(objective) - v) <= 1e-6 * (1.0 + abs(v)), objective
 
 
+def _mask(bits) -> int:
+    """The selection mask of a 0/1 vector of acceptances, blocks then MIC bids."""
+    return int(np.asarray(bits) @ (1 << np.arange(len(bits))))
+
+
+def _accepted_ids(instance, mask):
+    nJ, nb = len(instance.block_bids), len(instance.block_bids) + len(instance.mic_bids)
+    bits = ((mask >> np.arange(nb)) & 1).astype(bool)
+    return (tuple(b.id for b, on in zip(instance.block_bids, bits[:nJ]) if on),
+            tuple(c.id for c, on in zip(instance.mic_bids, bits[nJ:]) if on))
+
+
+def _cpus(monkeypatch, count):
+    """Let the oracle see count usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class _HighsSpy:
-    """Forwards to a HiGHS object and logs the calls that set bounds, drop the basis or solve."""
+    """Forwards to a HiGHS object and logs the calls that set bounds, drop
+    the basis or solve; a bounds call is logged with the selection's mask,
+    read from the bounds of the last nb columns (y, then u)."""
 
     LOGGED = ("changeColsBounds", "clearSolver", "run")
 
-    def __init__(self, highs, log):
-        self._highs, self._log = highs, log
+    def __init__(self, highs, log, nb):
+        self._highs, self._log, self._nb = highs, log, nb
 
     def __getattr__(self, name):
         attr = getattr(self._highs, name)
@@ -279,7 +301,10 @@ class _HighsSpy:
             return attr
 
         def logged(*args):
-            self._log.append(name)
+            if name == "changeColsBounds":
+                self._log.append((name, _mask(args[2][args[2].size - self._nb:])))
+            else:
+                self._log.append(name)
             return attr(*args)
 
         return logged
@@ -289,21 +314,115 @@ class _HighsSpy:
 @pytest.mark.parametrize("make", (make_toy, _seed_111))
 def test_each_selection_clears_the_basis_once_before_its_volume_probe(monkeypatch, make, rules):
     # the probe starts cold, so no basis crosses selections; the
-    # compensation LP runs from the probe's basis, with nothing cleared
-    log = []
-    real = oracle._face_highs
-    monkeypatch.setattr(oracle, "_face_highs", lambda *args: _HighsSpy(real(*args), log))
+    # compensation LP runs from the probe's basis, with nothing cleared.
+    # Each worker's HiGHS object has its own log, since the workers' calls
+    # interleave: every log must be whole per-selection sequences in mask
+    # order, and the logs together must cover every selection once
     inst = make()
+    nb = len(inst.block_bids) + len(inst.mic_bids)
+    logs = []
+    real = oracle._face_highs
+
+    def spied(*args):
+        logs.append([])
+        return _HighsSpy(real(*args), logs[-1], nb)
+
+    monkeypatch.setattr(oracle, "_face_highs", spied)
+    _cpus(monkeypatch, 2)
     res = enumerate_selections(inst, rules=rules)
+    assert len(logs) == (2 if res.n_selections >= 2 * oracle.CHUNK else 1)
     admissible = {(r.accepted_blocks, r.accepted_mic) for r in res.records}
-    nJ, nb = len(inst.block_bids), len(inst.block_bids) + len(inst.mic_bids)
-    want = []
-    for mask in range(res.n_selections):
-        bits = ((mask >> np.arange(nb)) & 1).astype(bool)
-        key = (tuple(b.id for b, on in zip(inst.block_bids, bits[:nJ]) if on),
-               tuple(c.id for c, on in zip(inst.mic_bids, bits[nJ:]) if on))
-        want += ["changeColsBounds", "clearSolver", "run"] + ["run"] * (key in admissible)
-    assert log == want
+    want = {
+        mask: [("changeColsBounds", mask), "clearSolver", "run"]
+        + ["run"] * (_accepted_ids(inst, mask) in admissible)
+        for mask in range(res.n_selections)
+    }
+    seen = []
+    for log in logs:
+        masks = [entry[1] for entry in log if isinstance(entry, tuple)]
+        assert masks == sorted(masks)
+        assert log == [call for mask in masks for call in want[mask]]
+        seen += masks
+    assert sorted(seen) == list(range(res.n_selections))
+
+
+# sweep-family seeds with 6-8 binaries (64-256 selections)
+_MANY_BINARIES = tuple(s for s in range(21) if s % 7 + s % 3 >= 6)
+
+
+@pytest.mark.parametrize("rules", ("pcr", "umfs"))
+def test_several_workers_match_one_worker(monkeypatch, rules):
+    # four workers, more than this machine may have cores, with the
+    # interpreter switching threads as often as it can; the results must
+    # be exactly those of one worker, witnesses included
+    made = []
+    real = oracle._face_highs
+    monkeypatch.setattr(oracle, "_face_highs", lambda *args: made.append(args) or real(*args))
+    instances = [_sweep(seed) for seed in _MANY_BINARIES]
+    _cpus(monkeypatch, 4)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = [enumerate_selections(inst, rules=rules) for inst in instances]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(made) == 4 * len(instances)  # one HiGHS object per worker
+
+    made.clear()
+    monkeypatch.setattr(oracle, "CHUNK", 2 ** GUARD + 1)
+    for seed, inst, got in zip(_MANY_BINARIES, instances, many):
+        want = enumerate_selections(inst, rules=rules)
+        assert got.n_selections == want.n_selections, seed
+        assert got.records == want.records, seed
+        assert got.optima.keys() == want.optima.keys(), seed
+        for objective, optimum in want.optima.items():
+            other = got.optima[objective]
+            assert (other.value, other.accepted_blocks, other.accepted_mic) == (
+                optimum.value, optimum.accepted_blocks, optimum.accepted_mic), (seed, objective)
+            assert other.witness.keys() == optimum.witness.keys()
+            for key, array in optimum.witness.items():
+                assert np.array_equal(other.witness[key], array), (seed, objective, key)
+    assert len(made) == len(instances)  # one worker each
+
+
+@pytest.mark.parametrize("failing, raised", (
+    pytest.param((5,), 5, id="second-worker"),
+    pytest.param((5, 8), 5, id="both-lowest-in-second"),
+    pytest.param((5, 2), 2, id="both-lowest-in-first"),
+))
+def test_a_face_lp_failed_in_a_worker_is_raised_after_the_workers_stop(monkeypatch, failing, raised):
+    # seed 111 has 6 blocks: two workers split its 64 selections, the
+    # calling thread the even masks and the second worker the odd ones.
+    # The volume probes of the selections in failing fail; the lowest of
+    # them is raised, the one a single worker would have met first
+    inst = _seed_111()
+    ran_by = {}
+    real_extremes, real_run = oracle._Face.extremes, oracle._Face._run
+
+    def extremes(face, y, u):
+        face.mask = _mask(np.concatenate((y, u)))
+        ran_by[face.mask] = threading.get_ident()
+        return real_extremes(face, y, u)
+
+    def run(face, cost):
+        if face.mask in failing:
+            return oracle._STATUS.kSolveError, None
+        return real_run(face, cost)
+
+    monkeypatch.setattr(oracle._Face, "extremes", extremes)
+    monkeypatch.setattr(oracle._Face, "_run", run)
+    _cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    blocks, _ = _accepted_ids(inst, raised)
+    want = (
+        rf"oracle volume probe LP failed for accepted blocks {re.escape(str(blocks))} "
+        r"and MIC bids \(\): HiGHS model status Solve error"
+    )
+    with pytest.raises(RuntimeError, match=want):
+        enumerate_selections(inst)
+    assert threading.active_count() == threads
+    assert (ran_by[raised] == threading.get_ident()) == (raised % 2 == 0)
+    assert all(mask in ran_by for mask in failing)
 
 
 def _reference_face_csc(instance, rules):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ def test_a_nan_fails_the_family_that_reads_it(field, family):
     fam = doc["families"][family]
     assert fam["passed"] is False and math.isinf(fam["max_residual"])
     assert any(math.isinf(v["residual"]) for v in fam["violations"])
+
+
+@pytest.mark.parametrize("field, value, families", [
+    ("prices", math.inf, ["complementarity", "dual", "price-range"]),
+    ("prices", -math.inf, ["complementarity", "dual", "pcr-no-loss", "price-range"]),
+    ("x", math.inf, ["complementarity", "objective-equality", "primal"]),
+])
+def test_an_infinite_entry_is_reported_without_a_warning(field, value, families):
+    # inf / inf and 0 * inf in the scaled residuals are NaN, which fail
+    # their family; numpy must not warn about them, since a warning raised
+    # as an error would stop the verifier before it reports
+    inst = make_toy()
+    sol = clear(inst, ClearingRequest())
+    values = np.array(getattr(sol, field), dtype=float)
+    values.flat[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_equilibrium(inst, dataclasses.replace(sol, **{field: values}))
+    assert rep.failing_families() == families
+    for family in families:
+        assert math.isinf(rep.families[family].max_residual), family
 
 
 def test_mic_income_on_cleared_instance():
