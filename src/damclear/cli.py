@@ -171,6 +171,10 @@ def _cmd_oracle(args) -> int:
                 }
                 for name, opt in result.optima.items()
             },
+            "verdicts": {
+                "certified_infeasible": result.certified_infeasible,
+                "resolved_cold": result.resolved_cold,
+            },
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")

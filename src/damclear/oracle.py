@@ -17,8 +17,8 @@ changes only column bounds: y and u themselves, the suborder caps of its
 MIC bids and the dual slacks it switches off. Two LPs run over it, and
 each changes only the cost (see _Face.extremes and _LP_OPTIONS):
 
-1. traded volume is maximized, from a cold start, which doubles as the
-   feasibility probe; the selection's welfare is read at that point;
+1. traded volume is maximized, which doubles as the feasibility probe;
+   the selection's welfare is read at that point;
 2. the rejected-block compensation sum is minimized, hot-started from
    the probe's optimal basis at the same bounds.
 
@@ -29,15 +29,27 @@ selections. This module intentionally builds its LPs directly on scipy's
 HiGHS bindings, in numpy, sharing no assembly code with the MILP builder
 it is meant to check.
 
-HiGHS releases the interpreter lock while it solves, so the selections
-are split over worker threads, one per usable CPU but no more than one
-per CHUNK selections (an enumeration of fewer than 2 * CHUNK selections
-runs in the calling thread alone). The face's arrays are built once;
-each extra worker solves on its own HiGHS object over them, and of w
-workers each takes every w-th selection mask. A selection's result
-lands in the slot of its mask, and no basis crosses selections, so
-records, witnesses and optima come out in mask order and are the same
-for any worker count.
+The selections are walked in Gray-code order (position p is the mask
+p ^ (p >> 1)), cut into runs of RUN consecutive positions. A run's first
+selection is solved cold: all column bounds are set and the basis is
+dropped. Each further selection differs from the previous one in one
+binary, so only that binary's columns change bounds and the probe starts
+hot from the previous basis (see _Face.step). A kept basis once changed
+verdicts (sweep-family seed 291 under umfs lost one of its 16 admissible
+selections), so a hot infeasible verdict counts only when the dual ray
+HiGHS returns with it proves the polytope empty in plain arithmetic
+(_ray_certifies, after Neumaier and Shcherbina, "Safe bounds in linear and
+mixed-integer linear programming", Math. Programming 99, 2004). Any other
+hot outcome that is not a pair of optimal LPs is solved again cold, and
+the cold verdict and errors stand.
+
+HiGHS releases the interpreter lock while it solves, so the runs are
+split over worker threads, one per usable CPU but no more than one per
+run. The face's arrays are built once; each extra worker solves on its
+own HiGHS object over them, and of w workers each takes every w-th run.
+A selection's result lands in the slot of its mask, and every run starts
+cold, so records, witnesses and optima come out in mask order and are the
+same for any worker count.
 """
 
 from __future__ import annotations
@@ -54,9 +66,13 @@ from ._highs import core as _highspy
 from .model import ClearingSolution, Instance, InstanceIndex
 
 GUARD = 20
-# selections per worker thread, at least: a worker costs one more HiGHS
-# object and a thread start, which a few selections would not repay
-CHUNK = 8
+# Gray-code positions per run: a run starts cold, so a longer run keeps the
+# basis more often, and runs are what the worker threads share out
+RUN = 16
+# a dual ray's (A^T ray)_j within this share of (|A|^T |ray|)_j is taken as
+# 0, and the intervals a ray separates must lie apart by more than this
+# share of the size of their terms (see _ray_certifies)
+RAY_ZERO = 1e-9
 
 # the face sits on the objective-equality hyperplane and has no relative
 # interior; with presolve on, HiGHS called such a face infeasible although
@@ -108,6 +124,10 @@ class SelectionOracleResult:
     n_selections: int
     records: tuple
     optima: dict
+    # hot infeasible verdicts proved by their dual ray, and hot selections
+    # solved again cold (see _Face.step)
+    certified_infeasible: int
+    resolved_cold: int
 
     def optimum(self, objective: str) -> float:
         return self.optima[objective].value
@@ -132,18 +152,66 @@ def _csc(rows, cols, vals, n_cols):
     return start, rows, vals
 
 
-def _face_highs(csc, b_ub, b_eq, lo, hi):
+def _column_sums(start, terms):
+    """Sum of terms over each column's segment start[j]:start[j + 1] of the
+    compressed-column entries; an empty column sums to 0."""
+    sums = np.add.reduceat(np.append(terms, 0.0), start[:-1])
+    sums[start[:-1] == start[1:]] = 0.0
+    return sums
+
+
+def _interval(coef, lo, hi):
+    """(min, max) of coef . z over the box lo <= z <= hi. A zero
+    coefficient adds 0, also where its bound is infinite."""
+    at = np.flatnonzero(coef)
+    c = coef[at]
+    ends = c * lo[at], c * hi[at]
+    return float(np.minimum(*ends).sum()), float(np.maximum(*ends).sum())
+
+
+def _magnitude(lo, hi):
+    """The largest finite |bound| of each element of the box lo, hi, 0
+    where both bounds are infinite."""
+    return np.maximum(np.where(np.isfinite(lo), np.abs(lo), 0.0),
+                      np.where(np.isfinite(hi), np.abs(hi), 0.0))
+
+
+def _ray_certifies(csc, row_lo, row_hi, lo, hi, ray) -> bool:
+    """Whether the row multipliers ray prove {x : lo <= x <= hi,
+    row_lo <= A x <= row_hi} empty, A the compressed-column matrix csc.
+
+    Every point x of the set has ray . (A x) = r . x with r = A^T ray, so
+    the set is empty when the interval of r . x over the column box and
+    the interval of ray . s over the row box are disjoint. An r_j within
+    RAY_ZERO of (|A|^T |ray|)_j, the size of the terms it sums, is
+    rounding in the ray and is taken as 0. The intervals must lie apart
+    by more than RAY_ZERO times the size of everything summed, each
+    size_j or |ray_i| times its largest finite bound: intervals that
+    merely touch (a ray that supports a nonempty set) can come out a few
+    units in the last place apart.
+    """
+    start, index, value = csc
+    terms = value * ray[index]
+    r = _column_sums(start, terms)
+    size = _column_sums(start, np.abs(terms))
+    r[np.abs(r) <= RAY_ZERO * size] = 0.0
+    r_lo, r_hi = _interval(r, lo, hi)
+    s_lo, s_hi = _interval(ray, row_lo, row_hi)
+    margin = float(RAY_ZERO * (size @ _magnitude(lo, hi) + np.abs(ray) @ _magnitude(row_lo, row_hi)))
+    return r_hi + margin < s_lo or s_hi + margin < r_lo
+
+
+def _face_highs(csc, row_lo, row_hi, lo, hi):
     """One HiGHS object (_LP_OPTIONS) holding the compressed-column rows
-    [A_ub; A_eq] as interval rows, in the order linprog stacks them, with
-    zero cost."""
+    row_lo <= A x <= row_hi and the column bounds lo, hi, with zero cost."""
     lp = _highspy.HighsLp()
-    lp.num_row_ = lp.a_matrix_.num_row_ = b_ub.size + b_eq.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_lo.size
     lp.num_col_ = lp.a_matrix_.num_col_ = lo.size
     lp.col_cost_ = np.zeros(lo.size)
     lp.col_lower_ = lo
     lp.col_upper_ = hi
-    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.row_lower_ = row_lo
+    lp.row_upper_ = row_hi
     lp.a_matrix_.format_ = _highspy.MatrixFormat.kColwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = csc
     highs = _highspy._Highs()
@@ -173,8 +241,11 @@ class _Face:
     whose suborders are capped at 0). ``csc`` holds the rows [A_ub; A_eq]
     as compressed-column arrays (start, index, value), the first ``n_ub``
     of them the <= rows; with b_ub, b_eq, lo and hi they are the face as
-    linprog would take it, and the HiGHS object holds the same rows and
-    columns.
+    linprog would take it, and the HiGHS object holds the same rows, as
+    row_lo <= A x <= row_hi, and columns. flips[k] holds the columns whose
+    bounds binary k (blocks, then MIC bids) sets, with their bounds (lo,
+    hi) when it is 0 and when it is 1. The face counts the hot infeasible
+    verdicts it certified and the hot selections it solved again cold.
     """
 
     def __init__(self, instance: Instance, rules: str):
@@ -284,13 +355,25 @@ class _Face:
         self.c_volume[cols["y"]] = np.clip(idx.block_powers, 0.0, None).sum(axis=1)
         self.c_compensation = np.zeros(n)
         self.c_compensation[cols["dr"]] = 1.0
-        self._highs = _face_highs(self.csc, self.b_ub, self.b_eq, self.lo, self.hi)
+        self.row_lo = np.concatenate((np.full(self.n_ub, -np.inf), self.b_eq))
+        self.row_hi = np.concatenate((self.b_ub, self.b_eq))
+        self._highs = _face_highs(self.csc, self.row_lo, self.row_hi, self.lo, self.hi)
+
+        owned = [(cols["y"][j], cols["dr"][j], *cols["da"][j: j + 1]) for j in range(nJ)]
+        owned += [(cols["u"][c], cols["dur"][c], *cols["xm"][idx.mic_slices[c]]) for c in range(nC)]
+        sides = (self.bounds(np.zeros(nJ), np.zeros(nC)), self.bounds(np.ones(nJ), np.ones(nC)))
+        self.flips = []
+        for columns in owned:
+            at = np.array(columns, dtype=np.int32)
+            self.flips.append((at, [(lo[at], hi[at]) for lo, hi in sides]))
+        self.certified = self.resolved = 0
 
     def twin(self) -> "_Face":
         """The same face over its own HiGHS object, sharing every array, for
         another thread to solve on."""
         twin = copy.copy(self)
-        twin._highs = _face_highs(self.csc, self.b_ub, self.b_eq, self.lo, self.hi)
+        twin._highs = _face_highs(self.csc, self.row_lo, self.row_hi, self.lo, self.hi)
+        twin.certified = twin.resolved = 0
         return twin
 
     def bounds(self, y, u):
@@ -311,7 +394,7 @@ class _Face:
 
         Returns HiGHS's model status and, when it is optimal, the point
         (None otherwise). Only the cost changes, so HiGHS starts from the
-        basis the previous LP left, unless extremes has cleared it.
+        basis the previous LP left, unless _cold has cleared it.
         """
         highs = self._highs
         highs.changeColsCost(cost.size, self._all, cost)
@@ -322,25 +405,56 @@ class _Face:
         return status, np.array(highs.getSolution().col_value)
 
     def extremes(self, y, u):
-        """(welfare, max volume, min compensation, witness) at a selection.
+        """(welfare, max volume, min compensation, witness) at a selection,
+        solved cold.
 
-        Returns None when the volume probe finds the polytope empty
-        (selection not supportable); any other non-optimal LP raises.
-        Optimality is pinned intrinsically by the pin row; no externally
-        computed welfare value enters the system, so the face is exact: a
-        pinning corridor of width e would be amplified into the
-        compensation minimum by the rejected blocks' price sensitivity.
-
-        The volume probe starts cold: clearSolver drops the previous
-        selection's basis, which, kept, changed verdicts (sweep-family
-        seed 291 under umfs lost one of its 16 admissible selections) and
-        failed compensation LPs. The compensation LP changes only the
-        cost, so it starts from the probe's optimal basis, which is
-        primal feasible at the same bounds.
+        Sets every column bound and solves from no basis (_cold). Returns
+        None when the volume probe finds the polytope empty (selection not
+        supportable); any other non-optimal LP raises. Optimality is pinned
+        intrinsically by the pin row; no externally computed welfare value
+        enters the system, so the face is exact: a pinning corridor of
+        width e would be amplified into the compensation minimum by the
+        rejected blocks' price sensitivity.
         """
-        cols = self.cols
-        lo, hi = self.bounds(y, u)
-        self._highs.changeColsBounds(lo.size, self._all, lo, hi)
+        self._lo, self._hi = self.bounds(y, u)
+        self._highs.changeColsBounds(self._lo.size, self._all, self._lo, self._hi)
+        return self._cold(y, u)
+
+    def step(self, k, y, u):
+        """extremes at a selection (y, u) that differs from the face's
+        previous one in binary k alone, solved hot where that is sound.
+
+        Only binary k's columns change bounds, and the volume probe starts
+        from the basis the previous selection left. An infeasible probe
+        stands when its dual ray certifies the polytope empty; an optimal
+        one is followed by the compensation LP from its basis. Anything
+        else, an uncertified verdict, another status or a failed
+        compensation LP, is solved again by _cold, whose result or error
+        stands.
+        """
+        at, sides = self.flips[k]
+        lo, hi = sides[int(y[k] if k < y.size else u[k - y.size])]
+        self._lo[at], self._hi[at] = lo, hi
+        self._highs.changeColsBounds(at.size, at, lo, hi)
+        status, vol = self._run(-self.c_volume)
+        if vol is not None:
+            status, comp = self._run(self.c_compensation)
+            if comp is not None:
+                return self._values(vol, comp)
+        elif status == _STATUS.kInfeasible:
+            _, has_ray, ray = self._highs.getDualRay()
+            if has_ray and _ray_certifies(self.csc, self.row_lo, self.row_hi, self._lo, self._hi,
+                                          np.asarray(ray)):
+                self.certified += 1
+                return None
+        self.resolved += 1
+        return self._cold(y, u)
+
+    def _cold(self, y, u):
+        """Both LPs at the current bounds, the volume probe from no basis:
+        clearSolver drops the previous LP's. The compensation LP changes
+        only the cost, so it starts from the probe's optimal basis, which
+        is primal feasible at the same bounds."""
         self._highs.clearSolver()
         status, vol = self._run(-self.c_volume)
         if status == _STATUS.kInfeasible:
@@ -350,6 +464,10 @@ class _Face:
         status, comp = self._run(self.c_compensation)
         if comp is None:
             raise self._failure("compensation", status, y, u)
+        return self._values(vol, comp)
+
+    def _values(self, vol, comp):
+        cols = self.cols
         witness = {
             "x": vol[cols["x"]],
             "x_mic": vol[cols["xm"]],
@@ -373,34 +491,41 @@ def _accepted(instance: Instance, y, u) -> tuple:
             tuple(c.id for c, on in zip(instance.mic_bids, u) if on))
 
 
-def _solve_share(face: _Face, masks: range, slots: list, failures: list) -> None:
-    """Solve the selections in masks, in order, on face: slots[mask] gets
+def _solve_runs(face: _Face, runs: range, slots: list, failures: list) -> None:
+    """Walk the selections of runs, in order, on face: slots[mask] gets
     (record, witness) for an admissible selection and stays None for the
-    others. The first error stops the share and is appended to failures
-    as (mask, error)."""
+    others. The first error stops the walk and is appended to failures as
+    (walk position, error)."""
     instance = face.idx.instance
     nJ, nb = face.idx.n_block, face.idx.n_block + face.idx.n_mic
-    for mask in masks:
-        bits = ((mask >> np.arange(nb)) & 1).astype(float)
-        y, u = bits[:nJ], bits[nJ:]
-        try:
-            got = face.extremes(y, u)
-        except Exception as exc:  # raised by enumerate_selections once every worker has stopped
-            failures.append((mask, exc))
-            return
-        if got is not None:
-            welfare, vol, oc, witness = got
-            slots[mask] = SelectionRecord(*_accepted(instance, y, u), welfare, vol, oc), witness
+    for run in runs:
+        for pos in range(run * RUN, min(len(slots), run * RUN + RUN)):
+            mask = pos ^ (pos >> 1)
+            bits = ((mask >> np.arange(nb)) & 1).astype(float)
+            y, u = bits[:nJ], bits[nJ:]
+            try:
+                if pos % RUN:
+                    # the previous position's mask differs in pos's lowest set bit
+                    got = face.step((pos & -pos).bit_length() - 1, y, u)
+                else:
+                    got = face.extremes(y, u)
+            except Exception as exc:  # raised by enumerate_selections once every worker has stopped
+                failures.append((pos, exc))
+                return
+            if got is not None:
+                welfare, vol, oc, witness = got
+                slots[mask] = SelectionRecord(*_accepted(instance, y, u), welfare, vol, oc), witness
 
 
 def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOracleResult:
     """Ground-truth optima for every objective under one rule set.
 
     Guard-limited to #blocks + #MIC <= GUARD (enumeration is exponential).
-    Records come in selection order, whichever worker thread solved them,
-    so results are deterministic. A face LP that fails raises after every
-    worker has stopped; of several failed selections, the lowest mask is
-    raised, the one a single worker would have met first.
+    Records come in mask order, whichever worker thread solved them, so
+    results are deterministic. A face LP that fails raises after every
+    worker has stopped; of several failed selections, the one with the
+    lowest walk position is raised, the one a single worker would have
+    met first.
     """
     if rules not in ("pcr", "umfs"):
         raise ValueError(f"unknown rules {rules!r}")
@@ -410,11 +535,13 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
     face = _Face(instance, rules)
 
     n = 2 ** nb
-    workers = max(1, min(len(os.sched_getaffinity(0)), n // CHUNK))
+    runs = -(-n // RUN)
+    workers = min(len(os.sched_getaffinity(0)), runs)
+    faces = [face] + [face.twin() for _ in range(1, workers)]
     slots = [None] * n
     failures = []
     threads = [
-        threading.Thread(target=_solve_share, args=(face.twin(), range(w, n, workers), slots, failures))
+        threading.Thread(target=_solve_runs, args=(faces[w], range(w, runs, workers), slots, failures))
         for w in range(1, workers)
     ]
     started = []
@@ -422,7 +549,7 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
         for thread in threads:
             thread.start()
             started.append(thread)
-        _solve_share(face, range(0, n, workers), slots, failures)
+        _solve_runs(face, range(0, runs, workers), slots, failures)
     finally:
         for thread in started:
             thread.join()
@@ -452,7 +579,9 @@ def enumerate_selections(instance: Instance, rules: str = "pcr") -> SelectionOra
         ),
     }
     return SelectionOracleResult(
-        rules=rules, n_selections=n, records=tuple(records), optima=optima
+        rules=rules, n_selections=n, records=tuple(records), optima=optima,
+        certified_infeasible=sum(f.certified for f in faces),
+        resolved_cold=sum(f.resolved for f in faces),
     )
 
 

@@ -173,9 +173,8 @@ def verify_equilibrium(
         raise ValueError(f"unknown rules {rules!r}")
     tol = tolerances or Tolerances()
     idx = InstanceIndex(instance)
-    x, xm, y, u, n, prices, v, si, sj, sc, sh, da, dr, dur = (
-        _solution_arrays(idx, solution).values()
-    )
+    arrays = _solution_arrays(idx, solution)
+    x, xm, y, u, n, prices, v, si, sj, sc, sh, da, dr, dur = arrays.values()
     pi = prices.reshape(idx.LT)
     # element names, built only for violations
     hourly = lambda i: instance.hourly_bids[i].id
@@ -194,7 +193,7 @@ def verify_equilibrium(
     price = FamilyResult("price-range", tol.price_range)
     objeq = FamilyResult("objective-equality", tol.objective_equality)
     pcrnl = FamilyResult("pcr-no-loss", tol.pcr_no_loss, applicable=(rules == "pcr"))
-    micin = verify_mic_income(instance, solution, tol.mic_income)
+    micin = _mic_income(idx, arrays, tol.mic_income)
 
     # primal feasibility
     primal.check("primal-eq1", _scaled(np.maximum(np.maximum(-x, x - 1.0), 0.0), x), hourly)
@@ -317,13 +316,17 @@ def verify_mic_income(instance: Instance, solution: ClearingSolution, tol: float
     exact: income = limit-weighted traded value - s_c. Residuals are scaled
     by (1 + fixed_cost). Rejected bids pass vacuously.
     """
-    fam = FamilyResult("mic-income", tol)
     idx = InstanceIndex(instance)
-    arrays = _solution_arrays(idx, solution)
+    return _mic_income(idx, _solution_arrays(idx, solution), tol)
+
+
+def _mic_income(idx: InstanceIndex, arrays: dict, tol: float) -> FamilyResult:
+    """verify_mic_income over the solution's arrays (_solution_arrays)."""
+    fam = FamilyResult("mic-income", tol)
     xm, prices = arrays["x_mic"], arrays["prices"]
     # a NaN u is not rejected, so its bid is checked
     on = np.flatnonzero(~(arrays["u"] <= 0.5))
-    name = lambda k: instance.mic_bids[on[k]].id
+    name = lambda k: idx.instance.mic_bids[on[k]].id
     F = idx.mic_fixed[on]
     required = F + idx.mic_variable[on] * idx.mic_sold_volume(xm)[on]
     income = idx.mic_income(xm, prices)[on]

@@ -122,6 +122,8 @@ def test_oracle_cmd(toy_tmp, tmp_path, capsys):
     assert len(doc["records"]) == 3
     assert doc["optima"]["welfare"]["value"] == 450.0
     assert doc["optima"]["volume"]["accepted_blocks"] == ["D"]
+    # the toy's walk reaches the oversold ("C", "D") hot, from ("C",)
+    assert doc["verdicts"] == {"certified_infeasible": 1, "resolved_cold": 0}
 
 
 def test_oracle_guard(tmp_path, capsys):
@@ -135,13 +137,14 @@ def test_oracle_guard(tmp_path, capsys):
 
 
 def test_oracle_failed_face_lp_exit_code(toy_tmp, tmp_path, monkeypatch, capsys):
-    # the toy's selection () runs LPs 0 and 1; LP 2 is ("C",)'s volume probe
+    # the toy's selection () runs LPs 0 and 1; LP 2 is ("C",)'s hot volume
+    # probe and, when that fails, LP 3 its cold one
     calls = []
     real = oracle._Face._run
 
     def failing(face, cost):
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) in (3, 4):
             return oracle._STATUS.kSolveError, None
         return real(face, cost)
 

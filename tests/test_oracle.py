@@ -197,18 +197,22 @@ def _seed_111():
 @pytest.mark.parametrize("make", (make_toy, _seed_111))
 def test_each_face_lp_is_one_solve(monkeypatch, make, rules):
     # an admissible selection runs the volume probe and the compensation
-    # LP, an inadmissible one only the probe; nothing is solved twice
-    calls = []
+    # LP, an inadmissible one only the probe; only a hot selection solved
+    # again cold (resolved_cold) runs its probe twice, and a compensation
+    # LP that failed hot is one of those
+    probes, compensations = [], []
     real = oracle._Face._run
 
     def counted(face, cost):
-        calls.append(cost)
-        return real(face, cost)
+        status, point = real(face, cost)
+        (compensations if cost is face.c_compensation else probes).append(point is not None)
+        return status, point
 
     monkeypatch.setattr(oracle._Face, "_run", counted)
     res = enumerate_selections(make(), rules=rules)
-    admissible = len(res.records)
-    assert len(calls) == 2 * admissible + (res.n_selections - admissible)
+    assert len(probes) == res.n_selections + res.resolved_cold
+    assert sum(compensations) == len(res.records)
+    assert len(compensations) - sum(compensations) <= res.resolved_cold
 
 
 def test_seed_111_umfs_enumerates_and_matches_clear():
@@ -224,25 +228,49 @@ def test_seed_111_umfs_enumerates_and_matches_clear():
         assert ok, details
 
 
-@pytest.mark.parametrize("failing_call, lp", ((2, "volume probe"), (3, "compensation")))
-def test_a_failed_face_lp_names_the_lp_and_the_selection(monkeypatch, failing_call, lp):
-    # on the toy, selection () runs calls 0 and 1, selection ("C",) calls 2 and 3
+def _failing_calls(monkeypatch, failing):
+    """Make the face LPs whose call numbers (from 0) are in failing end
+    with a solve error."""
     calls = []
     real = oracle._Face._run
 
-    def failing(face, cost):
+    def run(face, cost):
         calls.append(None)
-        if len(calls) - 1 == failing_call:
+        if len(calls) - 1 in failing:
             return oracle._STATUS.kSolveError, None
         return real(face, cost)
 
-    monkeypatch.setattr(oracle._Face, "_run", failing)
+    monkeypatch.setattr(oracle._Face, "_run", run)
+
+
+# the toy's walk is (), ("C",), ("C", "D"), ("D",): () runs calls 0 and 1
+# cold, ("C",) its hot probe (2) and hot compensation LP (3); a failed hot
+# LP sends ("C",) to a cold probe and compensation LP
+@pytest.mark.parametrize("failing, lp", (
+    pytest.param((2, 3), "volume probe", id="2-volume probe"),
+    pytest.param((3, 5), "compensation", id="3-compensation"),
+))
+def test_a_failed_face_lp_names_the_lp_and_the_selection(monkeypatch, failing, lp):
+    _failing_calls(monkeypatch, failing)
+
     want = (
         rf"oracle {lp} LP failed for accepted blocks \('C',\) and MIC bids \(\): "
         r"HiGHS model status Solve error"
     )
     with pytest.raises(RuntimeError, match=want):
         enumerate_selections(make_toy())
+
+
+@pytest.mark.parametrize("failing", ((2,), (3,)), ids=("probe", "compensation"))
+def test_a_failed_hot_lp_is_solved_again_cold(monkeypatch, failing):
+    want = enumerate_selections(make_toy())
+    _failing_calls(monkeypatch, failing)
+    got = enumerate_selections(make_toy())
+    assert got.resolved_cold == want.resolved_cold + 1
+    assert [r.accepted_blocks for r in got.records] == [r.accepted_blocks for r in want.records]
+    for g, w in zip(got.records, want.records):
+        for name in ("welfare", "max_volume", "min_opportunity_cost"):
+            assert getattr(g, name) == pytest.approx(getattr(w, name), abs=1e-9 * (1 + abs(getattr(w, name))))
 
 
 @pytest.mark.parametrize("seed, admissible, rules", (
@@ -254,11 +282,12 @@ def test_a_failed_face_lp_names_the_lp_and_the_selection(monkeypatch, failing_ca
     pytest.param(314, 37, "pcr", id="314-37"),
 ))
 def test_cold_started_face_lps_match_the_recorded_enumeration(seed, admissible, rules):
-    # each volume probe starts cold: with the basis kept from the previous
-    # selection, HiGHS called one of seed 291's 16 admissible selections
+    # with the basis kept from the previous selection and HiGHS's word
+    # taken, one of seed 291's 16 admissible selections was called
     # infeasible under umfs (a prototype that kept it lost one of seed 4's
-    # 32) and failed compensation LPs of seeds 68, 104, 167 and 314; the
-    # compensation LP starts from its own probe's basis
+    # 32) and compensation LPs of seeds 68, 104, 167 and 314 failed; a hot
+    # infeasible verdict stands only with a certifying dual ray, and a
+    # failed hot LP is solved again cold
     with open(OPTIMA_PATH, encoding="utf-8") as fh:
         want = json.load(fh)["instances"][str(seed)][rules]
     res = enumerate_selections(_sweep(seed), rules=rules)
@@ -287,13 +316,14 @@ def _cpus(monkeypatch, count):
 
 class _HighsSpy:
     """Forwards to a HiGHS object and logs the calls that set bounds, drop
-    the basis or solve; a bounds call is logged with the selection's mask,
-    read from the bounds of the last nb columns (y, then u)."""
+    the basis or solve. A bounds call over all n columns is logged with
+    the selection's mask, read from the bounds of the last nb columns (y,
+    then u); a bounds call over fewer with the set of its columns."""
 
     LOGGED = ("changeColsBounds", "clearSolver", "run")
 
-    def __init__(self, highs, log, nb):
-        self._highs, self._log, self._nb = highs, log, nb
+    def __init__(self, highs, log, nb, n):
+        self._highs, self._log, self._nb, self._n = highs, log, nb, n
 
     def __getattr__(self, name):
         attr = getattr(self._highs, name)
@@ -301,8 +331,10 @@ class _HighsSpy:
             return attr
 
         def logged(*args):
-            if name == "changeColsBounds":
-                self._log.append((name, _mask(args[2][args[2].size - self._nb:])))
+            if name == "changeColsBounds" and args[0] == self._n:
+                self._log.append((name, _mask(args[2][self._n - self._nb:])))
+            elif name == "changeColsBounds":
+                self._log.append((name, set(args[1].tolist())))
             else:
                 self._log.append(name)
             return attr(*args)
@@ -310,40 +342,69 @@ class _HighsSpy:
         return logged
 
 
+def _binary_columns(face, k):
+    """The columns whose bounds binary k (blocks, then MIC bids) sets: a
+    block's acceptance and compensations, a MIC bid's acceptance, slack and
+    suborders."""
+    cols, nJ = face.cols, face.idx.n_block
+    if k < nJ:
+        return {cols["y"][k], cols["dr"][k], *cols["da"][k: k + 1]}
+    return {cols["u"][k - nJ], cols["dur"][k - nJ], *cols["xm"][face.idx.mic_slices[k - nJ]]}
+
+
 @pytest.mark.parametrize("rules", ("pcr", "umfs"))
 @pytest.mark.parametrize("make", (make_toy, _seed_111))
 def test_each_selection_clears_the_basis_once_before_its_volume_probe(monkeypatch, make, rules):
-    # the probe starts cold, so no basis crosses selections; the
-    # compensation LP runs from the probe's basis, with nothing cleared.
-    # Each worker's HiGHS object has its own log, since the workers' calls
-    # interleave: every log must be whole per-selection sequences in mask
-    # order, and the logs together must cover every selection once
+    # a selection clears the basis only where it starts cold: a run's
+    # first selection sets every bound and drops the basis; each further
+    # one sets the bounds of the one binary it flips and solves hot, and
+    # drops the basis only before a cold re-solve of a hot outcome that
+    # did not stand. Each worker's HiGHS object has its own log, since the
+    # workers' calls interleave: every log must be whole per-selection
+    # sequences of its runs in walk order
     inst = make()
-    nb = len(inst.block_bids) + len(inst.mic_bids)
+    face = oracle._Face(inst, rules)
+    n_cols, nb = face.lo.size, len(inst.block_bids) + len(inst.mic_bids)
     logs = []
     real = oracle._face_highs
 
     def spied(*args):
         logs.append([])
-        return _HighsSpy(real(*args), logs[-1], nb)
+        return _HighsSpy(real(*args), logs[-1], nb, n_cols)
 
     monkeypatch.setattr(oracle, "_face_highs", spied)
     _cpus(monkeypatch, 2)
     res = enumerate_selections(inst, rules=rules)
-    assert len(logs) == (2 if res.n_selections >= 2 * oracle.CHUNK else 1)
+    n, run = res.n_selections, oracle.RUN
+    runs = -(-n // run)
+    assert len(logs) == min(2, runs)
     admissible = {(r.accepted_blocks, r.accepted_mic) for r in res.records}
-    want = {
-        mask: [("changeColsBounds", mask), "clearSolver", "run"]
-        + ["run"] * (_accepted_ids(inst, mask) in admissible)
-        for mask in range(res.n_selections)
-    }
-    seen = []
-    for log in logs:
-        masks = [entry[1] for entry in log if isinstance(entry, tuple)]
-        assert masks == sorted(masks)
-        assert log == [call for mask in masks for call in want[mask]]
-        seen += masks
-    assert sorted(seen) == list(range(res.n_selections))
+    resolved = certified = 0
+    for w, log in enumerate(logs):
+        groups = []  # one per selection, from its bounds call on
+        for entry in log:
+            if isinstance(entry, tuple):
+                groups.append([entry])
+            else:
+                groups[-1].append(entry)
+        walk = [pos for r in range(w, runs, len(logs)) for pos in range(r * run, min(n, r * run + run))]
+        assert len(groups) == len(walk)
+        for pos, group in zip(walk, groups):
+            mask = pos ^ (pos >> 1)
+            solves = ["run"] * (1 + (_accepted_ids(inst, mask) in admissible))
+            if pos % run == 0:
+                assert group == [("changeColsBounds", mask), "clearSolver"] + solves, pos
+                continue
+            assert group[0] == ("changeColsBounds", _binary_columns(face, (pos & -pos).bit_length() - 1))
+            if "clearSolver" in group:
+                cold = group.index("clearSolver")
+                assert group[1:cold] in (["run"], ["run", "run"]), pos
+                assert group[cold:] == ["clearSolver"] + solves, pos
+                resolved += 1
+            else:
+                assert group[1:] == solves, pos
+                certified += len(solves) == 1
+    assert (resolved, certified) == (res.resolved_cold, res.certified_infeasible)
 
 
 # sweep-family seeds with 6-8 binaries (64-256 selections)
@@ -369,7 +430,7 @@ def test_several_workers_match_one_worker(monkeypatch, rules):
     assert len(made) == 4 * len(instances)  # one HiGHS object per worker
 
     made.clear()
-    monkeypatch.setattr(oracle, "CHUNK", 2 ** GUARD + 1)
+    _cpus(monkeypatch, 1)
     for seed, inst, got in zip(_MANY_BINARIES, instances, many):
         want = enumerate_selections(inst, rules=rules)
         assert got.n_selections == want.n_selections, seed
@@ -386,34 +447,43 @@ def test_several_workers_match_one_worker(monkeypatch, rules):
 
 
 @pytest.mark.parametrize("failing, raised", (
-    pytest.param((5,), 5, id="second-worker"),
-    pytest.param((5, 8), 5, id="both-lowest-in-second"),
-    pytest.param((5, 2), 2, id="both-lowest-in-first"),
+    pytest.param((20,), 20, id="second-worker"),
+    pytest.param((20, 40), 20, id="both-lowest-in-second"),
+    pytest.param((20, 5), 5, id="both-lowest-in-first"),
 ))
 def test_a_face_lp_failed_in_a_worker_is_raised_after_the_workers_stop(monkeypatch, failing, raised):
-    # seed 111 has 6 blocks: two workers split its 64 selections, the
-    # calling thread the even masks and the second worker the odd ones.
-    # The volume probes of the selections in failing fail; the lowest of
-    # them is raised, the one a single worker would have met first
+    # seed 111 has 6 blocks: two workers split its 64 walk positions, in
+    # runs of 16, the calling thread runs 0 and 2 and the second worker
+    # runs 1 and 3. Every LP of the selections at the positions in
+    # failing fails, hot and cold; the lowest position is raised, the one
+    # a single worker would have met first
     inst = _seed_111()
+    failing_masks = {pos ^ (pos >> 1) for pos in failing}
     ran_by = {}
-    real_extremes, real_run = oracle._Face.extremes, oracle._Face._run
+    real_extremes, real_step, real_run = oracle._Face.extremes, oracle._Face.step, oracle._Face._run
 
     def extremes(face, y, u):
         face.mask = _mask(np.concatenate((y, u)))
         ran_by[face.mask] = threading.get_ident()
         return real_extremes(face, y, u)
 
+    def step(face, k, y, u):
+        face.mask = _mask(np.concatenate((y, u)))
+        ran_by[face.mask] = threading.get_ident()
+        return real_step(face, k, y, u)
+
     def run(face, cost):
-        if face.mask in failing:
+        if face.mask in failing_masks:
             return oracle._STATUS.kSolveError, None
         return real_run(face, cost)
 
     monkeypatch.setattr(oracle._Face, "extremes", extremes)
+    monkeypatch.setattr(oracle._Face, "step", step)
     monkeypatch.setattr(oracle._Face, "_run", run)
     _cpus(monkeypatch, 2)
     threads = threading.active_count()
-    blocks, _ = _accepted_ids(inst, raised)
+    raised_mask = raised ^ (raised >> 1)
+    blocks, _ = _accepted_ids(inst, raised_mask)
     want = (
         rf"oracle volume probe LP failed for accepted blocks {re.escape(str(blocks))} "
         r"and MIC bids \(\): HiGHS model status Solve error"
@@ -421,8 +491,8 @@ def test_a_face_lp_failed_in_a_worker_is_raised_after_the_workers_stop(monkeypat
     with pytest.raises(RuntimeError, match=want):
         enumerate_selections(inst)
     assert threading.active_count() == threads
-    assert (ran_by[raised] == threading.get_ident()) == (raised % 2 == 0)
-    assert all(mask in ran_by for mask in failing)
+    assert (ran_by[raised_mask] == threading.get_ident()) == (raised // oracle.RUN % 2 == 0)
+    assert failing_masks <= ran_by.keys()
 
 
 def _reference_face_csc(instance, rules):
@@ -579,3 +649,149 @@ def test_face_extremes_match_a_one_shot_linprog(rules):
                     assert abs(g - w) <= 1e-9 * (1.0 + abs(w)), (case, g, w)
             checked += 1
     assert checked == 127 * 7
+
+
+@pytest.mark.parametrize("rules", ("pcr", "umfs"))
+def test_no_ray_certifies_an_admissible_selection(rules):
+    # an admissible selection's polytope has a point, so no row
+    # multipliers prove it empty: neither random ones nor the dual ray
+    # HiGHS gives with an infeasible selection one binary away, which
+    # does prove some of those neighbours empty
+    rng = np.random.default_rng(27)
+    refused = certified_own = 0
+    for seed in range(21):
+        inst = _sweep(seed)
+        face = oracle._Face(inst, rules)
+        nJ, nb = len(inst.block_bids), len(inst.block_bids) + len(inst.mic_bids)
+        n_ub, n_rows = face.n_ub, face.row_lo.size
+        boxes, rays = {}, {}
+        for mask in range(2 ** nb):
+            bits = ((mask >> np.arange(nb)) & 1).astype(float)
+            if face.extremes(bits[:nJ], bits[nJ:]) is not None:
+                boxes[mask] = face.bounds(bits[:nJ], bits[nJ:])
+                continue
+            _, has_ray, ray = face._highs.getDualRay()
+            if has_ray:
+                rays[mask] = np.array(ray)
+                certified_own += oracle._ray_certifies(
+                    face.csc, face.row_lo, face.row_hi, *face.bounds(bits[:nJ], bits[nJ:]), rays[mask])
+        for mask, box in boxes.items():
+            signed = rng.normal(size=n_rows)
+            signed[:n_ub] = np.abs(signed[:n_ub])  # the <= rows' finite side
+            candidates = [rng.normal(size=n_rows), signed]
+            candidates += [rays[mask ^ (1 << k)] for k in range(nb) if mask ^ (1 << k) in rays]
+            for ray in candidates:
+                assert not oracle._ray_certifies(face.csc, face.row_lo, face.row_hi, *box, ray), (seed, mask)
+                refused += 1
+    assert refused > 2 * 7 * 127 // 4 and certified_own > 100
+
+
+class _ForcedRay:
+    """Forwards to a HiGHS object; getDualRay hands out ray, once, when the
+    test has set one."""
+
+    def __init__(self, highs):
+        self._highs, self.ray = highs, None
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getDualRay(self):
+        if self.ray is None:
+            return self._highs.getDualRay()
+        ray, self.ray = self.ray, None
+        return oracle._highspy.HighsStatus.kOk, True, ray
+
+
+@pytest.mark.parametrize("ray", ("row-duals", "random"))
+def test_a_hot_infeasible_verdict_without_a_proof_is_solved_again_cold(monkeypatch, ray):
+    # every hot probe that found a point is made to report Infeasible,
+    # with the row duals at that point, or random multipliers, as its
+    # dual ray. The certificate refuses each, so the selection is solved
+    # cold and stays admissible. Sweep seed 291 under umfs lost one of its
+    # 16 admissible selections when HiGHS's word was taken on a kept basis
+    rng = np.random.default_rng(11)
+    cases = [(_sweep(seed), rules) for seed, rules in ((291, "umfs"), (20, "pcr"), (20, "umfs"))]
+    want = [enumerate_selections(inst, rules=rules) for inst, rules in cases]
+    forced = []
+    real_highs, real_run = oracle._face_highs, oracle._Face._run
+    real_step, real_cold = oracle._Face.step, oracle._Face._cold
+
+    def step(face, k, y, u):
+        face.hot = True
+        return real_step(face, k, y, u)
+
+    def cold(face, y, u):
+        face.hot = False
+        return real_cold(face, y, u)
+
+    def run(face, cost):
+        status, point = real_run(face, cost)
+        if face.hot and point is not None and cost is not face.c_compensation:
+            face._highs.ray = (np.array(face._highs.getSolution().row_dual) if ray == "row-duals"
+                               else rng.normal(size=face.row_lo.size))
+            forced.append(None)
+            return oracle._STATUS.kInfeasible, None
+        return status, point
+
+    monkeypatch.setattr(oracle, "_face_highs", lambda *args: _ForcedRay(real_highs(*args)))
+    monkeypatch.setattr(oracle._Face, "step", step)
+    monkeypatch.setattr(oracle._Face, "_cold", cold)
+    monkeypatch.setattr(oracle._Face, "_run", run)
+    for (inst, rules), w in zip(cases, want):
+        forced.clear()
+        got = enumerate_selections(inst, rules=rules)
+        assert forced and got.resolved_cold >= len(forced)
+        assert [(r.accepted_blocks, r.accepted_mic) for r in got.records] == [
+            (r.accepted_blocks, r.accepted_mic) for r in w.records]
+        for objective in ("welfare", "volume", "min_opportunity_cost"):
+            v = w.optimum(objective)
+            assert abs(got.optimum(objective) - v) <= 1e-6 * (1.0 + abs(v)), objective
+
+
+def test_a_zero_coefficient_adds_nothing_on_an_infinite_bound():
+    lo, hi = np.array([-np.inf, 0.0, 1.0]), np.array([np.inf, 2.0, np.inf])
+    assert oracle._interval(np.array([0.0, 3.0, 0.0]), lo, hi) == (0.0, 6.0)
+    assert oracle._interval(np.array([0.0, -3.0, -1.0]), lo, hi) == (-np.inf, -1.0)
+
+
+def test_a_ray_weighting_an_infinite_row_side_does_not_certify():
+    # x in [0, 1] and the row x <= 5 have points. The ray -1 gives -x in
+    # [-1, 0] and, over s <= 5, -s in [-5, +inf): it weights the row's
+    # infinite side, so the intervals meet. With the row at x = 5 the
+    # same ray proves the set empty, also beside a row x <= 5 it weights 0
+    csc = oracle._csc(np.array([0, 1]), np.array([0, 0]), np.array([1.0, 1.0]), 1)
+    box = np.array([0.0]), np.array([1.0])
+    at_most, exactly = (-np.inf, 5.0), (5.0, 5.0)
+    for rows, ray, certifies in (
+        ((at_most, at_most), [-1.0, 0.0], False),
+        ((at_most, at_most), [-0.5, -0.5], False),
+        ((exactly, at_most), [-1.0, 0.0], True),
+        ((at_most, exactly), [0.0, -1.0], True),
+    ):
+        row_lo, row_hi = np.array(rows).T
+        assert oracle._ray_certifies(csc, row_lo, row_hi, *box, np.array(ray)) is certifies, (rows, ray)
+
+
+@pytest.mark.parametrize("share, certifies", ((0.99, True), (1.01, False)))
+def test_a_ray_term_within_ray_zero_of_its_size_is_rounding(share, certifies):
+    # x0 free and x1 in [2, 3] meet no point of the rows x0 + x1 = 0 and
+    # -x0 = 0. The ray (1, 1 - e) leaves r_0 = e on the free column, a
+    # sum of terms of size 2 - e: below RAY_ZERO * (2 - e) it is taken as
+    # 0 and the ray proves the set empty; above, r . x is unbounded
+    csc = oracle._csc(np.array([0, 1, 0]), np.array([0, 0, 1]), np.array([1.0, -1.0, 1.0]), 2)
+    e = share * oracle.RAY_ZERO * 2.0
+    box = np.array([-np.inf, 2.0]), np.array([np.inf, 3.0])
+    ray = np.array([1.0, 1.0 - e])
+    assert oracle._ray_certifies(csc, np.zeros(2), np.zeros(2), *box, ray) is certifies
+
+
+@pytest.mark.parametrize("gap, certifies", ((1e-12, False), (1e-6, True)))
+def test_intervals_apart_by_less_than_the_rounding_margin_do_not_certify(gap, certifies):
+    # x in [0, 1] and the row x = 1 + gap have no point; the ray 1 gives
+    # x in [0, 1] against s = 1 + gap, apart by gap, which must exceed
+    # RAY_ZERO * (1 * 1 + 1 * (1 + gap))
+    csc = oracle._csc(np.array([0]), np.array([0]), np.array([1.0]), 1)
+    side = np.array([1.0 + gap])
+    got = oracle._ray_certifies(csc, side, side, np.array([0.0]), np.array([1.0]), np.array([1.0]))
+    assert got is certifies
