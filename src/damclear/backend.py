@@ -7,32 +7,25 @@ implementation. That one sits on scipy's own HiGHS bindings
 (scipy.optimize._highspy._core, loaded by damclear._highs without
 importing scipy.optimize): one HiGHS object per MIP solve, and one
 LpSession per LP solve. LpSession itself does not go through the registry:
-it always runs the bundled HiGHS, and so does the engine's
-relaxation-rounding start, which uses it directly.
+it always runs the bundled HiGHS, and so does the engine's search, which
+uses it directly.
 
 Outcomes carry no solver duals: prices, surpluses and compensations are
 columns of the primal-dual model, so an LP solve returns them in columns.
-
-Warm starts are validated against the model in numpy and then handed to
-HiGHS as its incumbent (setSolution), so a start that already meets the
-gap target is certified by the root bound instead of being searched for
-again. When the solver returns nothing better than the start (it
-accepted the start, or rejected it and found nothing), the start itself
-is returned. A kept start carries the solver's dual bound, or none when
-HiGHS reports none (a zero time limit leaves it at infinity); the engine
-then gives it the relaxation bound of its start.
 
 LpSession keeps one model's LP relaxation on a persistent HiGHS object:
 it solves the relaxation once, then re-solves it with the y/u column
 bounds narrowed, from the previous basis: a fixed acceptance selection,
 or a branch-and-bound node with some binaries fixed. Its LP objectives are
 HiGHS's LP optima at LP_FEASIBILITY_TOL, which is what the engine uses as
-the bounds of its start. solve_lp runs a one-shot session and returns its
-relaxation; resolve_duals is one solve_lp with the selection fixed.
+the bounds of its search. solve_lp runs a one-shot session and returns
+its relaxation; resolve_duals is one solve_lp with the selection fixed.
 
-HiGHS prints a few MIP messages with a raw printf that ignores its output
-flag; solve_mip captures fd 1 around the solve and counts them in the
-outcome's message.
+solve_mip runs HiGHS's MIP solver once, from scratch. The engine calls it
+only for a model without binaries, which HiGHS solves as an LP; the tests
+use it as an independent MIP reference. HiGHS prints a few MIP messages
+with a raw printf that ignores its output flag; solve_mip captures fd 1
+around the solve and counts them in the outcome's message.
 
 Every solve hands HiGHS the model's stored compressed-column matrix
 (MilpModel.constraint_csc()) and interval row bounds
@@ -56,7 +49,6 @@ import numpy as np
 from ._highs import core as _highspy
 from .milp import MilpModel
 
-_WS_VALIDATION_TOL = 1e-5
 LP_FEASIBILITY_TOL = 1e-9  # HiGHS's primal (and, for LPs, dual) feasibility tolerance
 _STALL_RESIDUAL_TOL = 1e-6  # an LP that stops Unknown within this residual is optimal
 # HiGHS's MIP feasibility tolerance; a binary within it of 0 or 1 counts as integral
@@ -75,18 +67,13 @@ class SolveOptions:
 
     time_limit is wall seconds (None = unlimited); the engine gives it to
     a clear as a whole (see engine.ClearingRequest).
-    relative_gap_target is the MIP's stopping gap. warm_start is a full
-    column vector; it falls back to the model's own warm_start slot when
-    absent (a ClearingRequest takes none: clear builds its own start).
-    thread_count and random_seed go to HiGHS as given (None keeps its
-    default). The LP tolerance is the constant LP_FEASIBILITY_TOL.
+    relative_gap_target is the gap |bound - value| / (1 + |value|) at
+    which a search stops. The LP tolerance is the constant
+    LP_FEASIBILITY_TOL.
     """
 
     time_limit: Optional[float] = None
     relative_gap_target: float = 1e-6
-    thread_count: Optional[int] = None
-    warm_start: Optional[np.ndarray] = None
-    random_seed: Optional[int] = None
 
     def __post_init__(self):
         # the negated comparisons also reject NaN
@@ -94,10 +81,6 @@ class SolveOptions:
             raise ValueError("gap targets must be >= 0")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0 seconds")
-        if self.thread_count is not None and self.thread_count < 0:
-            raise ValueError("thread_count must be >= 0")
-        if self.random_seed is not None and self.random_seed < 0:
-            raise ValueError("random_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -108,10 +91,7 @@ class SolveOutcome:
     best_bound is the proven bound in the model's sense and mip_gap HiGHS's
     relative gap at termination (an optimal LP reports its objective and
     0); a MIP solve of a model without integer columns reports neither.
-    used_warm_start means the returned point is the warm start; its bound
-    is the solver's (None when the solver gives none) and its mip_gap
-    |best_bound - objective| / (1 + |objective|). message carries HiGHS's
-    status string and notes on the warm start.
+    message carries HiGHS's status string and notes on the run.
     """
 
     # optimal | feasible_gap | infeasible | unbounded | time_limit_no_solution | solver_failed
@@ -122,7 +102,6 @@ class SolveOutcome:
     best_bound: Optional[float] = None
     mip_gap: Optional[float] = None
     node_count: Optional[int] = None
-    used_warm_start: bool = False
     message: str = ""
 
     @property
@@ -142,14 +121,6 @@ def _empty_outcome(model: MilpModel, t0: float) -> SolveOutcome:
     )
 
 
-def _resolve_warm_vector(model: MilpModel, options: SolveOptions) -> Optional[np.ndarray]:
-    ws = options.warm_start if options.warm_start is not None else model.warm_start
-    if ws is None:
-        return None
-    ws = np.asarray(ws, dtype=float)
-    return ws if ws.shape == (model.n_cols,) else None
-
-
 def _highs_options(options: SolveOptions):
     """HiGHS options for one MIP solve, as (name, value) pairs."""
     pairs = [
@@ -162,10 +133,6 @@ def _highs_options(options: SolveOptions):
     ]
     if options.time_limit is not None:
         pairs.append(("time_limit", float(options.time_limit)))
-    if options.thread_count is not None:
-        pairs.append(("threads", int(options.thread_count)))
-    if options.random_seed is not None:
-        pairs.append(("random_seed", int(options.random_seed)))
     return pairs
 
 
@@ -264,12 +231,13 @@ class LpSession:
     then changes only the y/u column bounds and re-runs with presolve off,
     so HiGHS starts from the previous basis; fix() is bound() with both
     ends at a selection. The options' time_limit caps the session as a
-    whole: once it has run out, a solve returns time_limit_no_solution
-    without running. ``lp_count`` counts the LPs run. A run that stops
-    Unknown (HiGHS stalls on the optimal face the objective-equality row
-    pins) is optimal when HiGHS's primal and dual infeasibilities of its
-    point are within _STALL_RESIDUAL_TOL, and says so in its message;
-    otherwise it is solver_failed.
+    whole, from its construction (time_left()): each run gets what is left
+    as HiGHS's limit, and once it has run out, a solve returns
+    time_limit_no_solution without running. ``lp_count`` counts the LPs
+    run. A run that stops Unknown (HiGHS stalls on the optimal face the
+    objective-equality row pins) is optimal when HiGHS's primal and dual
+    infeasibilities of its point are within _STALL_RESIDUAL_TOL, and says
+    so in its message; otherwise it is solver_failed.
     """
 
     def __init__(self, model: MilpModel, options: SolveOptions = SolveOptions()):
@@ -310,13 +278,22 @@ class LpSession:
         self._highs.changeColsBounds(lo.size, self._cols, lo, hi)
         return self._run()
 
+    def time_left(self) -> Optional[float]:
+        """Seconds left of the session's time limit (never below 0), or
+        None without a limit."""
+        if self._limit is None:
+            return None
+        return max(0.0, self._limit - (time.perf_counter() - self._t0))
+
     def _run(self) -> SolveOutcome:
         t0 = time.perf_counter()
-        if self._limit is not None:
-            left = self._limit - (t0 - self._t0)
+        left = self.time_left()
+        if left is not None:
             if left <= 0:
                 return SolveOutcome("time_limit_no_solution", None, None, 0.0, message="session time limit spent")
-            _set_option(self._highs, "time_limit", left)
+            # HiGHS holds its limit against the object's run time summed
+            # over all its runs
+            _set_option(self._highs, "time_limit", self._highs.getRunTime() + left)
         self._highs.run()
         self.lp_count += 1
         status = self._highs.getModelStatus()
@@ -358,64 +335,18 @@ class ScipyHighsBackend:
         return replace(out, wall_time=time.perf_counter() - t0)
 
     def solve_mip(self, model: MilpModel, options: SolveOptions = SolveOptions()) -> SolveOutcome:
+        """One HiGHS MIP solve of the model from scratch (presolve on,
+        relative_gap_target as its gap). A binary-free model runs as an LP
+        and reports no bound, gap or node count."""
         if model.objective is None:
             raise BackendError("model has no objective")
         t0 = time.perf_counter()
         if model.n_cols == 0:
             return _empty_outcome(model, t0)
 
-        ws = _resolve_warm_vector(model, options)
-        ws_obj = None
-        ws_note = ""
-        if ws is not None:
-            viol = model.point_violations(ws)["max"]
-            frac = (
-                np.abs(ws[model.integrality == 1] - np.round(ws[model.integrality == 1])).max()
-                if model.n_binary else 0.0
-            )
-            if viol <= _WS_VALIDATION_TOL and frac <= INTEGER_FEASIBILITY_TOL:
-                ws_obj = float(model.objective @ ws)
-            else:
-                ws = None
-                ws_note = "warm start rejected by validation; "
-
-        out = self._run_highs(model, options, start=ws)
-        if ws_obj is not None:
-            better = out.objective is not None and (
-                out.objective > ws_obj + 1e-12 * (1 + abs(ws_obj))
-                if model.objective_sense == "max"
-                else out.objective < ws_obj - 1e-12 * (1 + abs(ws_obj))
-            )
-            if not better and out.status in (
-                "time_limit_no_solution", "solver_failed", "feasible_gap", "optimal"
-            ):
-                # the solver's incumbent is the start, or it rejected the
-                # start and found nothing better: keep the warm point
-                bound = out.best_bound
-                return replace(
-                    out, status="optimal" if out.status == "optimal" else "feasible_gap",
-                    objective=ws_obj, columns=ws.copy(),
-                    mip_gap=None if bound is None else abs(bound - ws_obj) / (1 + abs(ws_obj)),
-                    used_warm_start=True,
-                    wall_time=time.perf_counter() - t0,
-                    message=ws_note + "kept warm point; " + out.message,
-                )
-        if ws_note:
-            out = replace(out, message=ws_note + out.message)
-        return out
-
-    def _run_highs(self, model: MilpModel, options: SolveOptions, start=None) -> SolveOutcome:
-        t0 = time.perf_counter()
         lp = _highs_lp(model)
         lp.integrality_ = [_highspy.HighsVarType(int(k)) for k in model.integrality]
         highs = _new_highs(lp, _highs_options(options))
-        if start is not None:
-            # HiGHS may still reject the start; solve_mip then keeps it
-            # unless the search finds something better
-            sol = _highspy.HighsSolution()
-            sol.col_value = start
-            sol.value_valid = True
-            highs.setSolution(sol)
         leaked = _run_capturing_stdout(highs)
         status = highs.getModelStatus()
         info = highs.getInfo()
@@ -492,5 +423,4 @@ def resolve_duals(model: MilpModel, y, u, options: SolveOptions = SolveOptions()
     fixed.ub[ys] = y
     fixed.lb[us] = u
     fixed.ub[us] = u
-    fixed.warm_start = None
     return get_backend().solve_lp(fixed, options)

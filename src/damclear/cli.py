@@ -52,8 +52,6 @@ def _request(args) -> ClearingRequest:
         solve_options=SolveOptions(
             time_limit=args.time_limit,
             relative_gap_target=args.gap,
-            thread_count=args.threads,
-            random_seed=args.seed,
         ),
     )
 
@@ -235,8 +233,6 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
         p.add_argument("--gap", type=float, default=SolveOptions.relative_gap_target, metavar="FRACTION")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None, metavar="PREFIX")
 
     g = sub.add_parser("generate", help="write a seeded synthetic instance")

@@ -1,14 +1,16 @@
 """The clearing pipeline.
 
 clear() builds the primal-dual model for the requested rules and
-objective and rounds its LP relaxation into an admissible selection. A
-rounding that the relaxation bound does not certify is closed by a
-depth-first LP branch-and-bound on the same LP. A start certified either
-way keeps the prices and surpluses of the LP that checked its selection.
-Otherwise (the search failed or ran out of LPs) one MILP solve starts
-from the rounding. Unless that solve keeps the start, the LP is re-solved
-with the winning selection fixed to get clean prices (duals are never
-trusted from the integer search).
+objective and searches it with LPs only, on one hot-started LpSession:
+the LP relaxation is rounded into admissible selections, and a selection
+that the relaxation bound does not certify is closed by a depth-first LP
+branch-and-bound (Land and Doig, Econometrica 28, 1960). The search stops
+when it closes or when the request's time limit is spent; a stopped
+search returns its incumbent with the worst bound of its unexplored
+boxes. The incumbent keeps the prices and surpluses of the LP that
+checked its selection. No MIP solver runs on a model with binaries; a
+model without binaries is solved once and re-solved with the selection
+fixed to get clean prices.
 
 Solutions come back canonicalized: coordinates the equilibrium leaves free
 (an accepted block's split between surplus and compensation, a rejected
@@ -19,7 +21,6 @@ solved prices. Pinned coordinates keep their solver values.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -42,14 +43,13 @@ class ClearingRequest:
 
     rules='pcr' forbids paradoxically accepted blocks (no losses, no
     compensations); rules='umfs' allows them, compensated through d_accept.
-    solve_options.time_limit is a budget for a clear's start and MIP, not
-    a hard wall-clock bound: the relaxation start checks it before each
-    LP and gives HiGHS what is left as that LP's limit, and the MIP gets
-    what the start left. HiGHS checks its limit only at points of its
-    own; its MIP overran it by 11-15 s in root cut separation on the
-    full-scale volume model. The final fixed-selection resolve runs
-    without a limit.
-    solve_options.warm_start must be None: clear builds its own start.
+    solve_options.time_limit is the budget of a clear's LP search, counted
+    from its relaxation LP: the search checks it before each LP and gives
+    HiGHS what is left as that LP's limit. A search that the limit stops
+    returns its best selection as 'feasible_gap', or raises ClearingError
+    when it has found none. A clear overruns the limit by the model build
+    before the search, the time HiGHS takes to notice its limit, and the
+    solution's assembly after the search.
     """
 
     objective: str = "welfare"
@@ -61,8 +61,6 @@ class ClearingRequest:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.rules not in RULESETS:
             raise ValueError(f"unknown rules {self.rules!r}")
-        if self.solve_options.warm_start is not None:
-            raise ValueError("a clearing request takes no warm start; clear builds its own")
 
 
 def build_request_model(instance: Instance, request: ClearingRequest) -> milp.MilpModel:
@@ -88,9 +86,8 @@ def _gap(bound: float, value: float) -> float:
 
 
 def _gap_of(outcome: be.SolveOutcome) -> float:
-    # inf means no bound is known: a MIP outcome without the solver's
-    # bound carries the relaxation bound (see clear); a model without
-    # integer columns has neither
+    # inf means no bound is known: a model without integer columns has
+    # neither a bound nor a gap
     if outcome.mip_gap is not None:
         return float(outcome.mip_gap)
     if outcome.best_bound is not None and outcome.objective is not None:
@@ -185,7 +182,6 @@ def _finalize(
 
 
 _START_LPS = 16  # LPs the relaxation-rounding start may run, the relaxation included
-_BRANCH_LPS = 512  # LPs the branch-and-bound behind an uncertified start may run
 _FULL_ROUNDINGS = 3  # up to this many fractional binaries, every rounding is tried
 
 
@@ -215,103 +211,31 @@ def _binaries(model: milp.MilpModel, columns: np.ndarray) -> np.ndarray:
     return np.r_[columns[model.roles["y"]], columns[model.roles["u"]]]
 
 
-def _children(lo: np.ndarray, hi: np.ndarray, j: int, sides) -> list:
-    """Search nodes for the box [lo, hi] with binary j fixed to each side;
-    the depth-first search pops the last one first."""
+def _children(lo: np.ndarray, hi: np.ndarray, j: int, sides, parent: float) -> list:
+    """Search nodes for the box [lo, hi] with binary j fixed to each side,
+    each carrying parent as the bound of its box; the depth-first search
+    pops the last one first."""
     children = []
     for side in sides:
         child_lo, child_hi = lo.copy(), hi.copy()
         child_lo[j] = child_hi[j] = side
-        children.append((child_lo, child_hi, None))
+        children.append((child_lo, child_hi, None, parent))
     return children
 
 
-def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
-            incumbent: Optional[be.SolveOutcome], target: float) -> Optional[tuple]:
-    """Depth-first LP branch-and-bound over the y/u binaries on the start's
-    session, from its relaxation root, as (bound, incumbent).
+def _round(session: be.LpSession, model: milp.MilpModel, relax: be.SolveOutcome) -> tuple:
+    """The best admissible selection found by rounding the relaxation, as
+    (best, stop): best is the optimal fixed-selection LP of that selection
+    or None, and stop is the status that cut the rounding short (the
+    session's time limit) or None.
 
-    Every node is one hot-started LP with the binaries bounded to [lo, hi]
-    (LpSession.bound). An infeasible node is pruned, and so is a node whose
-    objective is within target of the incumbent (the gap |a-b|/(1+|b|)).
-    A node with integral binaries is followed by its selection fixed, which
-    becomes the incumbent unless it is pruned, so an incumbent is always
-    priced by the LP that checked its selection; the node's own objective
-    joins the pruned ones, since it bounds the integer points of its box
-    that the fixed LP does not cover. Any other node branches on its most
-    fractional binary, nearer side first. A node whose LP fails
-    (solver_failed, as when HiGHS stalls) is split on its first free
-    binary, 1 first; it adds no bound, since its children cover its box.
-    bound is the sense-aware worst of the pruned nodes' objectives and the
-    incumbent's. None when a node LP ends in any other status, when a
-    node without free binaries fails, when _BRANCH_LPS LPs are spent, or
-    when the search closes without an incumbent.
+    Integral binaries keep their value; fractional ones are rounded (see
+    _roundings). MIC bids whose minimum-income margin is negative at the
+    relaxation prices are rejected. While a selection stays infeasible
+    (or its hot-started LP fails), the accepted bid with the weakest
+    margin at the relaxation prices is dropped (_margins). The rounding
+    stops after _START_LPS LPs, the relaxation included.
     """
-    sign = 1.0 if model.objective_sense == "max" else -1.0
-    stop = session.lp_count + _BRANCH_LPS
-    pruned = []
-    nodes = [(np.zeros(model.n_binary), np.ones(model.n_binary), root)]
-    while nodes:
-        lo, hi, out = nodes.pop()
-        if out is None:
-            if session.lp_count >= stop:
-                return None
-            out = session.bound(lo, hi)
-        if out.status == "infeasible":
-            continue
-        if out.status != "optimal":
-            free = np.flatnonzero(lo != hi)
-            if out.status != "solver_failed" or not free.size:
-                return None
-            nodes += _children(lo, hi, free[0], (0.0, 1.0))
-            continue
-        if incumbent is not None and (sign * (out.objective - incumbent.objective)
-                                      <= target * (1.0 + abs(incumbent.objective))):
-            pruned.append(out.objective)
-        elif np.array_equal(lo, hi):
-            incumbent = out
-        else:
-            z = _binaries(model, out.columns)
-            frac = np.abs(z - np.round(z))
-            j = int(np.argmax(frac))
-            if frac[j] <= be.INTEGER_FEASIBILITY_TOL:
-                # the fixed LP may come out infeasible or lower: this
-                # node's objective still bounds its subtree
-                pruned.append(out.objective)
-                nodes.append((np.round(z), np.round(z), None))
-                continue
-            near = np.round(z[j])
-            nodes += _children(lo, hi, j, (1.0 - near, near))
-    if incumbent is None:
-        return None
-    return sign * max(sign * np.r_[pruned, incumbent.objective]), incumbent
-
-
-def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
-    """The best proven bound and the best admissible selection found from
-    the LP relaxation, as (bound, start).
-
-    One LpSession solves the relaxation and checks each candidate selection
-    by fixing its binaries. Integral binaries keep their value; fractional
-    ones are rounded (see _roundings). MIC bids whose minimum-income margin
-    is negative at the relaxation prices are rejected. While a selection
-    stays infeasible (or its hot-started LP fails), the accepted bid with
-    the weakest margin at the relaxation prices is dropped (_margins).
-    The rounding stops after _START_LPS LPs or the request's time limit.
-    A rounding that the relaxation bound does not certify is closed by an
-    LP branch-and-bound on the same session (_branch); when that search
-    stops early, the rounding and the relaxation bound stand as they were.
-    The start carries the bound as best_bound and is 'optimal' when it is
-    within relative_gap_target of it, 'feasible_gap' otherwise. Either
-    part is None when it was not found: a model without binaries runs no
-    LP.
-    """
-    if not model.n_binary:
-        return None, None
-    session = be.LpSession(model, request.solve_options)
-    relax = session.relaxation
-    if relax.status != "optimal":
-        return None, None
     n_y = model.roles["y"].stop - model.roles["y"].start
     z = _binaries(model, relax.columns)
     frac = np.flatnonzero(np.abs(z - np.round(z)) > be.INTEGER_FEASIBILITY_TOL)
@@ -331,56 +255,172 @@ def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
                 if best is None or sign * out.objective > sign * best.objective:
                     best = out
                 break
+            if out.status == "time_limit_no_solution":
+                return best, out.status
             accepted = np.flatnonzero(sel > 0.5)
             if out.status not in ("infeasible", "solver_failed") or not accepted.size:
                 break
             sel[accepted[np.argmin(margin[accepted])]] = 0.0
-    bound, how = relax.objective, "LP-relaxation rounding"
+    return best, None
+
+
+def _welfare_candidate(session: be.LpSession, model: milp.MilpModel,
+                       request: ClearingRequest) -> Optional[be.SolveOutcome]:
+    """The welfare selection under the request's rules, fixed in the
+    request's own session: its LP if that comes back optimal, else None.
+
+    The welfare model is cleared by _relaxation_start with what is left of
+    the session's time; a welfare clear that raises gives no candidate.
+    """
+    options = replace(request.solve_options, time_limit=session.time_left())
+    wrequest = replace(request, objective="welfare", solve_options=options)
+    wmodel = build_request_model(model.instance, wrequest)
+    try:
+        _, welfare = _relaxation_start(wmodel, wrequest)
+    except ClearingError:
+        return None
+    sel = _selection(wmodel, welfare)
+    out = session.fix(sel["y"], sel["u"])
+    return out if out.status == "optimal" else None
+
+
+def _branch(session: be.LpSession, model: milp.MilpModel, root: be.SolveOutcome,
+            incumbent: Optional[be.SolveOutcome], target: float) -> tuple:
+    """Depth-first LP branch-and-bound over the y/u binaries on the start's
+    session, from its relaxation root, as (bound, incumbent, stop).
+
+    Every node is one hot-started LP with the binaries bounded to [lo, hi]
+    (LpSession.bound), and carries its parent's objective, a bound of its
+    box. An infeasible node is pruned, and so is a node whose objective
+    is within target of the incumbent (the gap |a-b|/(1+|b|)). A node
+    with integral binaries is followed by its selection fixed, which
+    becomes the incumbent unless it is pruned, so an incumbent is always
+    priced by the LP that checked its selection; the node's own objective
+    joins the pruned ones, since it bounds the integer points of its box
+    that the fixed LP does not cover. Any other node branches on its most
+    fractional binary, nearer side first. A node whose LP fails
+    (solver_failed, as when HiGHS stalls) is split on its first free
+    binary, 1 first; a failed node without a free binary is skipped, and
+    its parent's objective joins the pruned ones.
+
+    The search runs until every node is closed, or until the session's
+    time limit stops a node LP (stop is then time_limit_no_solution,
+    else None). bound is the sense-aware worst of the pruned nodes'
+    objectives, the open nodes' parent objectives and the incumbent's;
+    the incumbent is None when the search found none.
+    """
+    sign = 1.0 if model.objective_sense == "max" else -1.0
+    pruned, stop = [], None
+    nodes = [(np.zeros(model.n_binary), np.ones(model.n_binary), root, root.objective)]
+    while nodes:
+        lo, hi, out, parent = nodes.pop()
+        if out is None:
+            out = session.bound(lo, hi)
+        if out.status == "time_limit_no_solution":
+            stop = out.status
+            pruned += [parent] + [node[3] for node in nodes]
+            break
+        if out.status == "infeasible":
+            continue
+        if out.status != "optimal":
+            free = np.flatnonzero(lo != hi)
+            if free.size:
+                nodes += _children(lo, hi, free[0], (0.0, 1.0), parent)
+            else:
+                pruned.append(parent)
+            continue
+        if incumbent is not None and (sign * (out.objective - incumbent.objective)
+                                      <= target * (1.0 + abs(incumbent.objective))):
+            pruned.append(out.objective)
+        elif np.array_equal(lo, hi):
+            incumbent = out
+        else:
+            z = _binaries(model, out.columns)
+            frac = np.abs(z - np.round(z))
+            j = int(np.argmax(frac))
+            if frac[j] <= be.INTEGER_FEASIBILITY_TOL:
+                # the fixed LP may come out infeasible or lower: this
+                # node's objective still bounds its subtree
+                pruned.append(out.objective)
+                nodes.append((np.round(z), np.round(z), None, out.objective))
+                continue
+            near = np.round(z[j])
+            nodes += _children(lo, hi, j, (1.0 - near, near), out.objective)
+    worst = sign * np.array(pruned + ([] if incumbent is None else [incumbent.objective]))
+    return sign * np.max(worst, initial=-np.inf), incumbent, stop
+
+
+def _relaxation_start(model: milp.MilpModel, request: ClearingRequest) -> tuple:
+    """The proven bound and the best admissible selection found from the
+    LP relaxation, as (bound, start); (None, None) for a model without
+    binaries, which runs no LP.
+
+    One LpSession solves the relaxation and checks each candidate
+    selection by fixing its binaries: first the roundings of the
+    relaxation (_round); then, for volume and min_opportunity_cost when
+    the rounding found none, the welfare selection (_welfare_candidate).
+    A selection that the relaxation bound does not certify is closed by an
+    LP branch-and-bound on the same session (_branch), which runs until
+    it closes or the request's time limit is spent. The start carries the
+    bound as best_bound and its gap as mip_gap, and is 'optimal' when it
+    is within relative_gap_target of the bound, 'feasible_gap' otherwise.
+    Raises ClearingError when the relaxation fails or no admissible
+    selection is found.
+    """
+    if not model.n_binary:
+        return None, None
+    session = be.LpSession(model, request.solve_options)
+    relax = session.relaxation
+    if relax.status != "optimal":
+        raise _no_selection("the LP relaxation", relax.status, session)
+    best, stop = _round(session, model, relax)
+    stage, how = "the rounding", "LP-relaxation rounding"
+    if best is None and stop is None and request.objective != "welfare":
+        best = _welfare_candidate(session, model, request)
+        if best is not None:
+            how = "welfare selection"
+    bound = relax.objective
     target = request.solve_options.relative_gap_target
-    if best is None or _gap(bound, best.objective) > target:
-        closed = _branch(session, model, relax, best, target)
-        if closed is not None:
-            (bound, best), how = closed, "LP branch-and-bound"
+    if stop is None and (best is None or _gap(bound, best.objective) > target):
+        bound, best, stop = _branch(session, model, relax, best, target)
+        stage, how = "the LP branch-and-bound", "LP branch-and-bound"
     if best is None:
-        return bound, None
+        raise _no_selection(stage, stop or "all nodes closed", session)
     gap = _gap(bound, best.objective)
     certified = gap <= target
+    if certified:
+        fate = "certified by its bound"
+    else:
+        fate = (f"stopped by {stop}" if stop else "closed") + f" at gap {gap:.3g}"
     return bound, replace(
         best, status="optimal" if certified else "feasible_gap",
-        best_bound=bound, mip_gap=gap, used_warm_start=True,
-        message=f"{how}, {session.lp_count} LPs, "
-        + ("certified by its bound" if certified else "handed to the MIP as its start"),
+        best_bound=bound, mip_gap=gap, message=f"{how}, {session.lp_count} LPs, {fate}",
+    )
+
+
+def _no_selection(stage: str, status: str, session: be.LpSession) -> ClearingError:
+    return ClearingError(
+        f"no admissible selection: {stage} stopped ({status}) after "
+        f"{session.lp_count} LPs; no MIP was tried"
     )
 
 
 def clear(instance: Instance, request: ClearingRequest = ClearingRequest()) -> ClearingSolution:
     """Single-shot clearing under the requested objective and rules.
 
-    A model with binaries first gets a start from its LP relaxation
-    (_relaxation_start): a rounding within relative_gap_target of the
-    relaxation bound, or else the incumbent of an LP branch-and-bound that
-    closes within that target, is certified and the MIP is skipped. When
-    neither certifies a start, the rounding becomes the MIP's warm start
-    and the MIP gets what is left of the time limit. A certified start, or
-    one the MIP keeps, is priced by the LP that checked its selection and
-    carries the relaxation bound when the MIP has none of its own; any
-    other MIP outcome is priced by _finalize. The instance was validated
-    when it was built.
+    A model with binaries is cleared by its LP search (_relaxation_start):
+    the start's selection is priced by the LP that checked it, and the
+    clear reports the start's status and gap, 'feasible_gap' when the
+    time limit stopped the search short of relative_gap_target. A search
+    that finds no admissible selection raises ClearingError. A model
+    without binaries is one solve_mip, re-solved by _finalize. The
+    instance was validated when it was built.
     """
     model = build_request_model(instance, request)
-    t0 = time.perf_counter()
-    bound, start = _relaxation_start(model, request)
-    outcome = start
-    if start is None or start.status != "optimal":
-        model.warm_start = None if start is None else start.columns
-        limit = request.solve_options.time_limit
-        left = None if limit is None else max(0.0, limit - (time.perf_counter() - t0))
-        outcome = be.solve_mip(model, replace(request.solve_options, time_limit=left))
-        if outcome.best_bound is None:
-            outcome = replace(outcome, best_bound=bound)
-    if start is None or not np.array_equal(outcome.columns, start.columns):
-        return _finalize(instance, model, outcome, request)
-    return assemble_solution(instance, model, start.columns, _gap_of(outcome), outcome.status)
+    if not model.n_binary:
+        return _finalize(instance, model, be.solve_mip(model, request.solve_options), request)
+    _, start = _relaxation_start(model, request)
+    return assemble_solution(instance, model, start.columns, start.mip_gap, start.status)
 
 
 def _selection(model: milp.MilpModel, outcome: be.SolveOutcome) -> dict:

@@ -115,8 +115,7 @@ class MilpModel:
     integrality are read-only, and copies share them. Column bounds may be
     tightened in place (that is how selections get fixed). ``roles`` maps
     a column group name to its slice and ``row_roles`` a row family name
-    to its slice; columns and rows carry no other names. ``warm_start``
-    holds a full column vector or None.
+    to its slice; columns and rows carry no other names.
     """
 
     instance: Instance
@@ -131,7 +130,6 @@ class MilpModel:
     row_roles: dict[str, slice] = field(default_factory=dict)
     objective: Optional[np.ndarray] = None
     objective_sense: str = "max"
-    warm_start: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for arr in (*self.csc, self.row_lo, self.row_hi, self.integrality):
@@ -155,7 +153,6 @@ class MilpModel:
             lb=self.lb.copy(),
             ub=self.ub.copy(),
             objective=None if self.objective is None else self.objective.copy(),
-            warm_start=None if self.warm_start is None else self.warm_start.copy(),
         )
 
     def constraint_csc(self):

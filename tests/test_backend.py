@@ -59,13 +59,12 @@ def test_options_validation():
     bad = (
         {"relative_gap_target": float("nan")},
         {"time_limit": -1.0}, {"time_limit": float("nan")},
-        {"thread_count": -3}, {"random_seed": -1},
     )
     for kwargs in bad:
         with pytest.raises(ValueError):
             bk.SolveOptions(**kwargs)
-    # zero is in range for each: no search time, HiGHS's own thread count, seed 0
-    bk.SolveOptions(relative_gap_target=0.0, time_limit=0.0, thread_count=0, random_seed=0)
+    # zero is in range for each: no gap, no search time
+    bk.SolveOptions(relative_gap_target=0.0, time_limit=0.0)
 
 
 def test_missing_objective_raises():
@@ -154,77 +153,6 @@ def test_random_convex_lps_match_linprog():
         assert mip.mip_gap is None or mip.mip_gap == 0.0
 
 
-def _assert_kept_point_without_bound(out):
-    # HiGHS stopped before it had a bound, and the backend solves nothing
-    # else to get one: the engine gives a kept start its relaxation bound
-    assert out.best_bound is None and out.mip_gap is None
-    assert out.message.startswith("kept warm point; ")
-
-
-def _refuse_lp_solves(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve_mip ran an LP solve")
-
-    monkeypatch.setattr(bk.ScipyHighsBackend, "solve_lp", refuse)
-    monkeypatch.setattr(bk, "LpSession", refuse)
-
-
-def test_warm_start_vector_kept_when_solver_has_nothing(monkeypatch):
-    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    base = bk.solve_mip(m, bk.SolveOptions())
-    _refuse_lp_solves(monkeypatch)
-    out = bk.solve_mip(m, bk.SolveOptions(time_limit=0.0, warm_start=base.columns))
-    assert out.status == "feasible_gap"
-    assert out.used_warm_start
-    assert out.objective == pytest.approx(450.0, abs=1e-6)
-    np.testing.assert_allclose(out.columns, base.columns)
-    _assert_kept_point_without_bound(out)
-
-
-def test_invalid_warm_start_rejected_but_solve_proceeds():
-    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    out = bk.solve_mip(m, bk.SolveOptions(warm_start=np.full(m.n_cols, 1e6)))
-    assert out.status == "optimal"
-    assert out.objective == pytest.approx(450.0, abs=1e-6)
-    assert not out.used_warm_start
-    assert "rejected" in out.message
-    # wrong length is ignored silently
-    out2 = bk.solve_mip(m, bk.SolveOptions(warm_start=np.zeros(3)))
-    assert out2.status == "optimal"
-
-
-def test_model_warm_start_slot_is_used():
-    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    base = bk.solve_mip(m, bk.SolveOptions())
-    m2 = m.copy()
-    m2.warm_start = base.columns
-    out = bk.solve_mip(m2, bk.SolveOptions(time_limit=0.0))
-    assert out.status == "feasible_gap" and out.used_warm_start
-    _assert_kept_point_without_bound(out)
-
-
-def test_warm_start_within_gap_target_is_certified_by_the_solver(monkeypatch):
-    inst = generate(GeneratorConfig(seed=5, n_blocks=3, n_mic=2))
-    m = build_request_model(inst, ClearingRequest())
-    base = bk.solve_mip(m, bk.SolveOptions())
-    lp_calls = []
-    real_solve_lp = bk.ScipyHighsBackend.solve_lp
-
-    def counted_solve_lp(self, *args, **kwargs):
-        lp_calls.append(args)
-        return real_solve_lp(self, *args, **kwargs)
-
-    monkeypatch.setattr(bk.ScipyHighsBackend, "solve_lp", counted_solve_lp)
-    out = bk.solve_mip(m, bk.SolveOptions(warm_start=base.columns))
-    assert out.status == "optimal"
-    assert out.used_warm_start
-    np.testing.assert_array_equal(out.columns, base.columns)
-    assert out.best_bound is not None and np.isfinite(out.best_bound)
-    assert out.best_bound >= out.objective - 1e-9 * (1 + abs(out.objective))
-    assert out.node_count is not None
-    assert lp_calls == []  # the bound is HiGHS's, not the LP relaxation's
-
-
 def test_solver_stdout_is_captured(capfd):
     # HiGHS printf's transformNewIntegerFeasibleSolution while solving this model
     inst = generate(GeneratorConfig(seed=6, n_blocks=6, n_mic=0))
@@ -239,12 +167,12 @@ def test_highs_private_api_is_present():
     # the backend drives these private scipy bindings directly
     from scipy.optimize._highspy import _core
 
-    for name in ("HighsLp", "HighsSolution", "HighsVarType", "HighsModelStatus",
+    for name in ("HighsLp", "HighsVarType", "HighsModelStatus",
                  "HighsStatus", "ObjSense", "MatrixFormat"):
         assert hasattr(_core, name), name
     assert hasattr(_core.HighsModelStatus, "kUnknown")
     highs = _core._Highs()
-    for name in ("passModel", "setOptionValue", "setSolution", "run",
+    for name in ("passModel", "setOptionValue", "run", "getRunTime",
                  "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
                  "changeColsBounds"):
         assert callable(getattr(highs, name, None)), name
@@ -270,13 +198,6 @@ def test_registry_and_env_selection(monkeypatch):
     assert bk.get_backend("sentinel") is sentinel
     monkeypatch.setenv("DAMCLEAR_BACKEND", "sentinel")
     assert bk.get_backend() is sentinel
-
-
-def test_seed_and_threads_are_accepted():
-    m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    out = bk.solve_mip(m, bk.SolveOptions(random_seed=7, thread_count=1))
-    assert out.status == "optimal"
-    assert out.objective == pytest.approx(450.0, abs=1e-6)
 
 
 def _session_models():
@@ -394,6 +315,22 @@ def test_lp_session_spent_time_limit_runs_nothing():
         session.fix(np.zeros(3), np.zeros(2))
 
 
+def test_lp_session_gives_each_lp_what_is_left_of_its_limit():
+    # HiGHS holds its time limit against its run time summed over all the
+    # object's runs, so each LP's limit is that run time plus the time left
+    m = build_request_model(make_day(3), ClearingRequest())
+    session = bk.LpSession(m, bk.SolveOptions(time_limit=60.0))
+    n = session._cols.size
+    for k in range(4):
+        ran, before = session._highs.getRunTime(), session.time_left()
+        assert session.bound(np.zeros(n), np.full(n, float(k % 2))).status == "optimal"
+        after = session.time_left()
+        _, limit = session._highs.getOptionValue("time_limit")
+        assert ran + after <= limit <= ran + before, k
+    assert 0.0 < session.time_left() < 60.0
+    assert bk.LpSession(m).time_left() is None
+
+
 def test_lp_session_reports_a_stopped_run_as_solver_failed():
     # an iteration limit is not a time limit: no time_limit_no_solution
     for rules, m in _session_models():
@@ -404,20 +341,14 @@ def test_lp_session_reports_a_stopped_run_as_solver_failed():
         assert "Iteration limit reached" in out.message, rules
 
 
-def test_solver_failure_keeps_a_validated_warm_start(monkeypatch):
+def test_mip_stopped_without_a_point_is_solver_failed(monkeypatch):
     # a zero node limit stops HiGHS at the root without a point
     m = milp.set_objective(milp.build_model(make_toy(), "umfs"), "welfare")
-    base = bk.solve_mip(m)
     real = bk._highs_options
     monkeypatch.setattr(bk, "_highs_options", lambda options: real(options) + [("mip_max_nodes", 0)])
     out = bk.solve_mip(m)
     assert out.status == "solver_failed" and not out.has_solution
     assert "Solution limit reached" in out.message
-    _refuse_lp_solves(monkeypatch)
-    kept = bk.solve_mip(m, bk.SolveOptions(warm_start=base.columns))
-    assert kept.status == "feasible_gap" and kept.used_warm_start
-    assert kept.objective == pytest.approx(450.0, abs=1e-6)
-    _assert_kept_point_without_bound(kept)
 
 
 def _day_model(seed):

@@ -180,8 +180,8 @@ def test_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--seed", "-1"], ["--threads", "-3"], ["--time-limit", "-1"], ["--time-limit", "nan"], ["--gap", "nan"]],
-    ids=["seed-negative", "threads-negative", "time-limit-negative", "time-limit-nan", "gap-nan"],
+    [["--time-limit", "-1"], ["--time-limit", "nan"], ["--gap", "nan"]],
+    ids=["time-limit-negative", "time-limit-nan", "gap-nan"],
 )
 def test_out_of_range_solver_flags_report_error(toy_tmp, tmp_path, capsys, flags):
     # a clear of the binary-free instance always runs solve_mip; the toy has binaries
@@ -192,6 +192,15 @@ def test_out_of_range_solver_flags_report_error(toy_tmp, tmp_path, capsys, flags
         assert cli.main(["clear", str(path), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("clear", "compare"))
+@pytest.mark.parametrize("flag", ("--seed", "--threads"))
+def test_mip_only_flags_are_usage_errors(toy_tmp, capsys, command, flag):
+    # the LP search has no seed and no thread count
+    assert cli.main([command, str(toy_tmp), flag, "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 1" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

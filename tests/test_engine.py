@@ -85,13 +85,6 @@ def test_request_validation():
         ClearingRequest(rules="euphemia")
 
 
-def test_request_rejects_a_warm_start():
-    # clear hands the MIP its own rounding; a request's warm start would
-    # silently replace it
-    with pytest.raises(ValueError, match="warm start"):
-        ClearingRequest(solve_options=be.SolveOptions(warm_start=np.zeros(3)))
-
-
 def test_mic_acceptance_threshold():
     # income tops out at 10000; fixed + variable*100 crosses it at 8000
     accepted = clear(make_mic(1000.0), ClearingRequest())
@@ -147,34 +140,9 @@ def test_compare_pab_models_chain():
 
 def _mic_instance():
     # 5 blocks and 2 MIC bids; under pcr welfare the rounding (welfare
-    # 14716.86) is not certified by the relaxation bound, the branch-and-
-    # bound closes at 15484.46, and without it the MIP finds 15484.46
+    # 14716.86) is not certified by the relaxation bound, and the branch-
+    # and-bound closes at 15484.46, the MIP's optimum
     return generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
-
-
-def _without_branching(monkeypatch):
-    """Send an uncertified rounding straight to the MIP: the branch-and-
-    bound certifies these small instances, so they would never reach it."""
-    monkeypatch.setattr(engine, "_BRANCH_LPS", 0)
-
-
-def test_kept_start_gets_the_relaxation_bound(monkeypatch):
-    # the toy's start (welfare 450) is 0.089 below its relaxation bound
-    # (490); a MIP stopped by a zero time limit keeps it without a bound
-    _without_branching(monkeypatch)
-    toy = make_toy()
-    request = ClearingRequest()
-    bound, start = engine._relaxation_start(build_request_model(toy, request), request)
-    assert start.status == "feasible_gap" and bound == pytest.approx(490.0)
-    calls = _count_mip_calls(monkeypatch, zero_time_limit_on=1)
-    resolves = []
-    monkeypatch.setattr(be, "resolve_duals", lambda *args, **kwargs: resolves.append(args))
-    sol = clear(toy, request)
-    assert len(calls) == 1 and resolves == []
-    assert sol.solver_status == "feasible_gap"
-    assert sol.welfare == pytest.approx(450.0, abs=1e-6)
-    assert sol.solver_gap == pytest.approx(40.0 / 451.0)
-    assert verify_equilibrium(toy, sol).overall_pass
 
 
 def test_clear_certifies_a_day_under_a_time_limit(monkeypatch):
@@ -197,17 +165,13 @@ def test_solution_reports_gap_and_status():
     assert sol.solver_gap <= 1e-6
 
 
-def _count_mip_calls(monkeypatch, zero_time_limit_on=None):
-    """Record the warm start of every MIP solve that a clear makes. The
-    solve numbered zero_time_limit_on (counting from 1) gets a zero time
-    limit: HiGHS then stops before it has a point or a bound of its own."""
+def _count_mip_calls(monkeypatch):
+    """Record the binary count of the model of every MIP solve a clear makes."""
     calls = []
     real = be.ScipyHighsBackend.solve_mip
 
     def counted(self, model, options=be.SolveOptions()):
-        calls.append(None if model.warm_start is None else model.warm_start.copy())
-        if len(calls) == zero_time_limit_on:
-            options = replace(options, time_limit=0.0)
+        calls.append(model.n_binary)
         return real(self, model, options)
 
     monkeypatch.setattr(be.ScipyHighsBackend, "solve_mip", counted)
@@ -235,36 +199,38 @@ def test_certified_relaxation_start_skips_the_mip(monkeypatch):
     assert resolves == []
 
 
-@pytest.mark.parametrize("objective, start_value, want", (
-    ("welfare", None, None),
-    ("volume", 20.0, 20.0),
-    ("min_opportunity_cost", 800.0, 50.0),
+@pytest.mark.parametrize("objective, rounding_value", (
+    ("welfare", None),
+    ("volume", 20.0),
+    ("min_opportunity_cost", 800.0),
 ), ids=("welfare", "volume", "min_opportunity_cost"))
-def test_uncertified_relaxation_start_is_the_mip_warm_start(monkeypatch, objective, start_value, want):
-    # welfare on a seeded instance with MIC bids; the toy's volume start
-    # is kept by the MIP, and its min-oc start ({C}) is beaten by {D}
-    _without_branching(monkeypatch)
+def test_uncertified_rounding_is_closed_by_the_search(monkeypatch, objective, rounding_value):
+    # welfare on a seeded instance with MIC bids; the toy's volume rounding
+    # is optimal but not certified, and its min-oc rounding ({C}) is
+    # beaten by {D} (50)
     if objective == "welfare":
         inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
     else:
         inst = make_toy()
     request = ClearingRequest(objective=objective)
     model = build_request_model(inst, request)
+    session = be.LpSession(model, request.solve_options)
+    rounding, stop = engine._round(session, model, session.relaxation)
+    assert stop is None
+    target = request.solve_options.relative_gap_target
+    assert engine._gap(session.relaxation.objective, rounding.objective) > target
+    if rounding_value is not None:
+        assert rounding.objective == pytest.approx(rounding_value, abs=1e-6)
     bound, start = engine._relaxation_start(model, request)
-    assert start.status == "feasible_gap" and start.used_warm_start
-    assert start.best_bound == bound
+    assert start.status == "optimal" and start.message.startswith("LP branch-and-bound, ")
+    assert start.best_bound == bound and start.mip_gap <= target
     sign = 1.0 if model.objective_sense == "max" else -1.0
-    assert sign * (start.best_bound - start.objective) >= 0.0
-    if start_value is not None:
-        assert start.objective == pytest.approx(start_value, abs=1e-6)
+    assert sign * (start.objective - rounding.objective) >= -1e-9 * (1.0 + abs(rounding.objective))
     calls = _count_mip_calls(monkeypatch)
     sol = clear(inst, request)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], start.columns)
-    got = VALUE[objective](sol)
-    assert sign * (got - start.objective) >= -1e-9 * (1.0 + abs(start.objective))
-    if want is not None:
-        assert got == pytest.approx(want, abs=1e-6)
+    assert calls == []
+    want = enumerate_selections(inst, rules="pcr").optima[objective].value
+    assert VALUE[objective](sol) == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
     assert sol.solver_status == "optimal"
     assert verify_equilibrium(inst, sol).overall_pass
 
@@ -290,59 +256,80 @@ def test_branch_and_bound_certifies_the_mic_instance_without_a_mip(monkeypatch):
     assert verify_equilibrium(inst, sol).overall_pass
 
 
-@pytest.mark.parametrize("stop", ("failed leaf LP", "spent budget"))
-def test_open_branch_and_bound_hands_the_rounding_to_the_mip(monkeypatch, stop):
-    # the search stops: the rounding and the relaxation bound go to the MIP
-    # exactly as they would without it
+def test_failed_leaf_lps_are_skipped_with_their_parents_bound(monkeypatch):
+    # every fixed selection in the search fails: each is skipped, its
+    # parent's objective joins the bound, and the search closes with the
+    # rounding as its incumbent, uncertified
     inst = _mic_instance()
     request = ClearingRequest()
     model = build_request_model(inst, request)
-    with monkeypatch.context() as patch:
-        _without_branching(patch)
-        rounding_bound, rounding = engine._relaxation_start(model, request)
+    session = be.LpSession(model, request.solve_options)
+    rounding, _ = engine._round(session, model, session.relaxation)
+    rounding_lps = session.lp_count
+    real, real_branch = be.LpSession.bound, engine._branch
     failed, branching, searched = [], [], []
-    if stop == "spent budget":
-        monkeypatch.setattr(engine, "_BRANCH_LPS", 3)
-    else:
-        real, real_branch = be.LpSession.bound, engine._branch
 
-        def branch(*args):
-            branching.append(None)
-            try:
-                return real_branch(*args)
-            finally:
-                branching.clear()
+    def branch(*args):
+        branching.append(None)
+        try:
+            return real_branch(*args)
+        finally:
+            branching.clear()
 
-        def failing(session, lo, hi):
-            if not branching:  # the rounding's fixed selections
-                return real(session, lo, hi)
-            if np.array_equal(lo, hi):  # a fixed selection in the search
-                failed.append(None)
-                return be.SolveOutcome("solver_failed", None, None, 0.0)
-            searched.append(None)
+    def failing(session, lo, hi):
+        if not branching:  # the rounding's fixed selections
             return real(session, lo, hi)
+        if np.array_equal(lo, hi):  # a fixed selection in the search
+            failed.append(None)
+            return be.SolveOutcome("solver_failed", None, None, 0.0)
+        searched.append(None)
+        return real(session, lo, hi)
 
-        monkeypatch.setattr(engine, "_branch", branch)
-        monkeypatch.setattr(be.LpSession, "bound", failing)
+    monkeypatch.setattr(engine, "_branch", branch)
+    monkeypatch.setattr(be.LpSession, "bound", failing)
     bound, start = engine._relaxation_start(model, request)
-    assert len(failed) == (stop == "failed leaf LP")
-    assert _lp_count(start) == _lp_count(rounding) + (3 if stop == "spent budget" else len(searched))
-    assert bound == rounding_bound and start.best_bound == rounding.best_bound
-    assert start.status == "feasible_gap" and start.message.startswith("LP-relaxation rounding, ")
+    assert failed
+    assert _lp_count(start) == rounding_lps + len(searched)
+    want = enumerate_selections(inst, rules="pcr").optima["welfare"].value
+    assert bound - want >= -be.LP_FEASIBILITY_TOL * (1.0 + abs(want))
+    assert engine._gap(bound, rounding.objective) > request.solve_options.relative_gap_target
+    assert start.status == "feasible_gap" and start.best_bound == bound
+    assert start.message.startswith("LP branch-and-bound, ") and " closed at gap " in start.message
     np.testing.assert_array_equal(start.columns, rounding.columns)
     calls = _count_mip_calls(monkeypatch)
     sol = clear(inst, request)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], rounding.columns)
-    assert sol.solver_status == "optimal"
+    assert calls == []
+    assert sol.solver_status == "feasible_gap" and sol.solver_gap == start.mip_gap
     assert verify_equilibrium(inst, sol).overall_pass
 
 
 @pytest.mark.parametrize("target", (1e-6, 1e-2))
-def test_branch_and_bound_bound_brackets_the_oracle_optimum(target):
+def test_branch_and_bound_bound_brackets_the_oracle_optimum(monkeypatch, target):
     # the bound may pass the optimum only by the LP tolerance; at the looser
-    # target pruned nodes leave it strictly beyond the incumbent
-    separated = 0
+    # target pruned nodes leave it strictly beyond the incumbent. The same
+    # holds for a search that the time limit stops after k node LPs: its
+    # bound still brackets the optimum, it is feasible_gap exactly when
+    # that gap exceeds the target, and without an incumbent it raises
+    real_bound, real_branch = be.LpSession.bound, engine._branch
+    search = {"limit": None, "lps": None}  # node LPs allowed and run; lps is None outside a search
+
+    def branch(*args):
+        search["lps"] = 0
+        try:
+            return real_branch(*args)
+        finally:
+            search["lps"] = None
+
+    def node_lp(session, lo, hi):
+        if search["lps"] is not None:
+            if search["limit"] is not None and search["lps"] >= search["limit"]:
+                return be.SolveOutcome("time_limit_no_solution", None, None, 0.0)
+            search["lps"] += 1
+        return real_bound(session, lo, hi)
+
+    monkeypatch.setattr(engine, "_branch", branch)
+    monkeypatch.setattr(be.LpSession, "bound", node_lp)
+    separated = stopped = gapped = 0
     for inst in (make_toy(), _mic_instance()):
         for rules in ("pcr", "umfs"):
             optima = enumerate_selections(inst, rules=rules).optima
@@ -350,17 +337,40 @@ def test_branch_and_bound_bound_brackets_the_oracle_optimum(target):
                 request = ClearingRequest(objective=objective, rules=rules,
                                           solve_options=be.SolveOptions(relative_gap_target=target))
                 model = build_request_model(inst, request)
+                search["limit"] = None
                 bound, start = engine._relaxation_start(model, request)
                 if not start.message.startswith("LP branch-and-bound, "):
                     continue
+                full = _lp_count(start)
                 sign = 1.0 if model.objective_sense == "max" else -1.0
                 want = optima[objective].value
+                tol = be.LP_FEASIBILITY_TOL * (1.0 + abs(want))
                 case = (rules, objective)
                 assert start.status == "optimal" and start.best_bound == bound, case
-                assert sign * (bound - want) >= -be.LP_FEASIBILITY_TOL * (1.0 + abs(want)), case
+                assert sign * (bound - want) >= -tol, case
                 assert start.mip_gap <= target, case
                 assert abs(start.objective - want) <= target * (1.0 + abs(want)), case
                 separated += sign * (bound - start.objective) > 1e-9 * (1.0 + abs(want))
+                for k in range(full):
+                    search["limit"] = k
+                    try:
+                        bound, start = engine._relaxation_start(model, request)
+                    except ClearingError as exc:
+                        assert "the LP branch-and-bound stopped (time_limit_no_solution)" in str(exc), case
+                        assert str(exc).endswith("; no MIP was tried"), case
+                        continue
+                    if _lp_count(start) == full:  # the search closed within k node LPs
+                        break
+                    stopped += 1
+                    gap = engine._gap(bound, start.objective)
+                    assert sign * (bound - want) >= -tol, (case, k)
+                    assert sign * (want - start.objective) >= -tol, (case, k)
+                    assert start.best_bound == bound and start.mip_gap == gap, (case, k)
+                    assert start.status == ("feasible_gap" if gap > target else "optimal"), (case, k)
+                    if gap > target:
+                        assert "stopped by time_limit_no_solution" in start.message, (case, k)
+                        gapped += 1
+    assert stopped and gapped
     if target > 1e-3:
         assert separated
 
@@ -479,17 +489,94 @@ def test_binary_free_model_builds_no_lp_session(monkeypatch):
 
 
 @pytest.mark.parametrize("case, time_limit", (("seeded", 0.0), ("mic", 4e-9)), ids=("seeded", "mic"))
-def test_spent_time_limit_falls_through_to_the_mip(monkeypatch, case, time_limit):
-    # the relaxation finds no start inside the limit, so the MIP is called
-    # without one and its empty-handed stop surfaces as a ClearingError
+def test_spent_time_limit_names_the_stage_that_stopped(monkeypatch, case, time_limit):
+    # the relaxation LP finds no time left, so no selection is found: the
+    # error names the stage, its LPs and the status, and no MIP runs
     if case == "seeded":
         inst = generate(GeneratorConfig(seed=4, n_blocks=4, n_mic=1))
     else:
         inst = make_mic(1000.0)
     calls = _count_mip_calls(monkeypatch)
-    with pytest.raises(ClearingError, match="time_limit_no_solution"):
+    with pytest.raises(ClearingError, match=r"the LP relaxation stopped \(time_limit_no_solution\) "
+                       r"after 0 LPs; no MIP was tried"):
         clear(inst, ClearingRequest(solve_options=be.SolveOptions(time_limit=time_limit)))
-    assert calls == [None]
+    assert calls == []
+
+
+@pytest.mark.parametrize("stage", ("the rounding", "the LP branch-and-bound"))
+def test_a_search_without_a_selection_names_its_stage(monkeypatch, stage):
+    # every LP after the relaxation finds the time spent; without the
+    # rounding's selections the search starts without an incumbent
+    inst = _mic_instance()
+    monkeypatch.setattr(be.LpSession, "bound", lambda session, lo, hi: be.SolveOutcome(
+        "time_limit_no_solution", None, None, 0.0))
+    if stage == "the LP branch-and-bound":
+        monkeypatch.setattr(engine, "_round", lambda session, model, relax: (None, None))
+    with pytest.raises(ClearingError, match=rf"^no admissible selection: {stage} stopped "
+                       r"\(time_limit_no_solution\) after 1 LPs; no MIP was tried$"):
+        clear(inst, ClearingRequest())
+
+
+@pytest.mark.parametrize("objective", ("volume", "min_opportunity_cost"))
+def test_welfare_selection_is_the_candidate_when_the_rounding_finds_none(monkeypatch, objective):
+    # the welfare clear's selection, fixed in the objective's own session,
+    # is the search's first incumbent; the search then closes as usual
+    real_candidate, real_branch, real_round = engine._welfare_candidate, engine._branch, engine._round
+    candidates, incumbents = [], []
+
+    def candidate(*args):
+        candidates.append(real_candidate(*args))
+        return candidates[-1]
+
+    def branch(session, model, root, incumbent, target):
+        incumbents.append((model.objective, incumbent))
+        return real_branch(session, model, root, incumbent, target)
+
+    monkeypatch.setattr(engine, "_welfare_candidate", candidate)
+    monkeypatch.setattr(engine, "_branch", branch)
+    inst = _mic_instance()
+    for rules in ("pcr", "umfs"):
+        # the rounding finds a selection here, so no candidate is tried
+        for obj in VALUE:
+            clear(inst, ClearingRequest(objective=obj, rules=rules))
+        assert candidates == [], rules
+        welfare_request = ClearingRequest(rules=rules)
+        welfare_model = build_request_model(inst, welfare_request)
+        _, welfare = engine._relaxation_start(welfare_model, welfare_request)
+        want_sel = np.round(engine._binaries(welfare_model, welfare.columns))
+        request = ClearingRequest(objective=objective, rules=rules)
+        model = build_request_model(inst, request)
+        with monkeypatch.context() as patch:
+            # the welfare clear inside the candidate keeps its rounding
+            patch.setattr(engine, "_round", lambda session, m, relax: (
+                (None, None) if np.array_equal(m.objective, model.objective)
+                else real_round(session, m, relax)))
+            incumbents.clear()
+            bound, start = engine._relaxation_start(model, request)
+            # the welfare clear's own search runs on the welfare objective
+            candidate_incumbents = [inc for c, inc in incumbents if np.array_equal(c, model.objective)]
+            sol = clear(inst, request)
+        assert len(candidates) == 2 and candidates[0] is not None, rules
+        np.testing.assert_array_equal(np.round(engine._binaries(model, candidates[0].columns)), want_sel)
+        assert candidate_incumbents in ([], [candidates[0]]), rules
+        if not candidate_incumbents:
+            assert start.message.startswith("welfare selection, "), rules
+        want = enumerate_selections(inst, rules=rules).optima[objective].value
+        assert start.status == "optimal", rules
+        assert VALUE[objective](sol) == pytest.approx(want, abs=1e-6 * (1.0 + abs(want))), rules
+        assert verify_equilibrium(inst, sol, rules=rules).overall_pass, rules
+        candidates.clear()
+
+
+def test_a_welfare_clear_that_raises_gives_no_candidate():
+    inst = _mic_instance()
+    request = ClearingRequest(objective="volume", solve_options=be.SolveOptions(time_limit=60.0))
+    model = build_request_model(inst, request)
+    session = be.LpSession(model, request.solve_options)
+    session.time_left = lambda: 0.0  # the welfare relaxation gets no time
+    lps = session.lp_count
+    assert engine._welfare_candidate(session, model, request) is None
+    assert session.lp_count == lps
 
 
 class _CountingBackend:
@@ -509,7 +596,6 @@ class _CountingBackend:
 
 
 def test_registry_is_the_route_to_the_backend(monkeypatch):
-    _without_branching(monkeypatch)
     calls = []
     monkeypatch.setitem(be._REGISTRY, "counting", _CountingBackend(calls))
     monkeypatch.setenv("DAMCLEAR_BACKEND", "counting")
@@ -520,16 +606,17 @@ def test_registry_is_the_route_to_the_backend(monkeypatch):
         return real_resolve(*args, **kwargs)
 
     monkeypatch.setattr(be, "resolve_duals", resolve)
-    # an uncertified start that the MIP keeps: the start's own LP priced it
-    inst = generate(GeneratorConfig(seed=5, n_blocks=5, n_mic=2))
-    sol = clear(inst, ClearingRequest())
-    assert verify_equilibrium(inst, sol).overall_pass
-    assert sol.solver_status == "optimal"
-    assert sol.solver_gap <= ClearingRequest().solve_options.relative_gap_target
-    assert calls == ["mip"]
-    calls.clear()
-    # a MIP that beats its start: one MIP, then the resolve's LP
-    inst = generate(GeneratorConfig(seed=14, n_blocks=5, n_mic=2))
+    # a model with binaries is searched on the bundled LpSession, whose
+    # LPs price the selection: no backend call
+    for seed in (5, 14):
+        inst = generate(GeneratorConfig(seed=seed, n_blocks=5, n_mic=2))
+        sol = clear(inst, ClearingRequest())
+        assert verify_equilibrium(inst, sol).overall_pass
+        assert sol.solver_status == "optimal"
+        assert sol.solver_gap <= ClearingRequest().solve_options.relative_gap_target
+    assert calls == []
+    # a model without binaries: one MIP, then the resolve's LP
+    inst = generate(GeneratorConfig(seed=3, n_blocks=0, n_mic=0))
     assert verify_equilibrium(inst, clear(inst, ClearingRequest())).overall_pass
     assert calls == ["mip", "resolve", "lp"]
 
